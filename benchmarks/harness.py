@@ -27,7 +27,7 @@ from repro.analysis import (detect_knee, format_seconds, linear_fit,
                             render_series, render_table)
 from repro.attacks import attack_for_experiment
 from repro.cloud import build_testbed
-from repro.core import (ADJUSTERS, ModChecker, ParallelModChecker)
+from repro.core import ADJUSTERS, ModChecker
 from repro.guest import build_catalog
 from repro.perf import HEAVY_LOAD, GuestResourceMonitor, apply_workload
 
@@ -235,7 +235,7 @@ def run_a1() -> None:
         seq = ModChecker(tb.hypervisor, tb.profile)
         with tb.clock.span() as s:
             seq.check_on_vm("http.sys", "Dom1")
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=threads)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=threads)
         with tb.clock.span() as p:
             par.check_on_vm("http.sys", "Dom1")
         rows.append([threads, format_seconds(s.elapsed),

@@ -10,8 +10,7 @@ buys.
 Run:  python examples/cloud_performance_sweep.py
 """
 
-from repro import (HEAVY_LOAD, ModChecker, ParallelModChecker, apply_workload,
-                   build_testbed)
+from repro import HEAVY_LOAD, ModChecker, apply_workload, build_testbed
 from repro.analysis import detect_knee, linear_fit
 
 SEED = 2012
@@ -61,8 +60,7 @@ def main() -> None:
     with tb2.clock.span() as s:
         seq.check_on_vm(MODULE, "Dom1")
     for threads in (2, 4, 8):
-        par = ParallelModChecker(tb2.hypervisor, tb2.profile,
-                                 threads=threads)
+        par = ModChecker(tb2.hypervisor, tb2.profile, workers=threads)
         with tb2.clock.span() as p:
             par.check_on_vm(MODULE, "Dom1")
         print(f"  {threads} threads: {p.elapsed * 1e3:6.2f} ms "

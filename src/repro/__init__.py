@@ -20,8 +20,8 @@ from .attacks import (Attack, InfectionResult, attack_for_experiment,
                       make_attack)
 from .cloud import PAPER_VM_COUNT, Testbed, build_testbed
 from .core import (CheckDaemon, IntegrityChecker, ModChecker, ModuleCarver,
-                   ModuleParser, ModuleSearcher, ParallelModChecker,
-                   PoolReport, VMCheckReport)
+                   ModuleParser, ModuleSearcher, PoolReport,
+                   VMCheckReport)
 from .guest import GuestKernel, build_catalog
 from .hypervisor import CpuModel, Hypervisor, SimClock
 from .pe import DriverBlueprint, PEImage, build_driver
@@ -36,7 +36,7 @@ __all__ = [
     "PAPER_VM_COUNT", "Testbed", "build_testbed",
     "CheckDaemon", "IntegrityChecker", "ModChecker", "ModuleCarver",
     "ModuleParser", "ModuleSearcher",
-    "ParallelModChecker", "PoolReport", "VMCheckReport",
+    "PoolReport", "VMCheckReport",
     "GuestKernel", "build_catalog",
     "CpuModel", "Hypervisor", "SimClock",
     "DriverBlueprint", "PEImage", "build_driver",

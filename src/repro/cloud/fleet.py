@@ -18,13 +18,15 @@ profile) and a scoped :class:`~repro.core.daemon.CheckDaemon`, so the
 PR 3 breaker/membership machinery holds *per shard*.
 
 **Scheduling.** Shards check concurrently on ``workers`` Dom0 threads.
-As in :class:`~repro.core.parallel.ParallelModChecker`, concurrency is
-modelled, not threaded: each shard's cycle runs with charges deferred
-(:meth:`~repro.hypervisor.xen.Hypervisor.deferred_charges`), the
-per-shard costs feed the LPT :func:`~repro.core.parallel.makespan`,
-and the simulated clock advances once per fleet round by the makespan
-stretched by Dom0 contention. Per-round latency is therefore the
-*slowest worker's* path, exactly what a real thread pool would see.
+As in ``ModChecker(workers=N)``, concurrency is modelled, not
+threaded: each shard's cycle runs with charges deferred
+(:meth:`~repro.hypervisor.xen.Hypervisor.deferred_charges`), and the
+simulated clock advances once per fleet round by the LPT makespan of
+the per-shard costs stretched by Dom0 contention
+(:meth:`~repro.hypervisor.scheduler.ContentionScheduler.parallel_elapsed`).
+Per-round latency is therefore the *slowest worker's* path, exactly
+what a real thread pool would see. Shard checkers stay at
+``workers=1``: the fleet already models their concurrency.
 
 **Quorum borrowing.** Churn can starve a shard below the voting floor
 (or a key may only ever hold one VM). Instead of suspending checks,
@@ -48,7 +50,6 @@ from dataclasses import dataclass, field
 from ..core.daemon import Alert, CheckDaemon, RoundRobinPolicy
 from ..core.health import BreakerConfig
 from ..core.modchecker import ModChecker
-from ..core.parallel import makespan
 from ..errors import InsufficientPool
 from ..guest.catalog import build_catalog
 from ..hypervisor.scheduler import CpuModel
@@ -192,6 +193,11 @@ class Fleet:
             raise ValueError("workers must be >= 1")
         if interval <= 0:
             raise ValueError("interval must be positive")
+        if (checker_kwargs or {}).get("workers", 1) > 1:
+            # a shard checker's own makespan would advance the clock
+            # inside the fleet's deferred round: time counted twice
+            raise ValueError("shard checkers run with workers=1; set "
+                             "the fleet's workers instead")
         self.hv = hypervisor
         self.shard_size = shard_size
         self.workers = workers
@@ -435,9 +441,9 @@ class Fleet:
                     # and the next reconcile sort it out
                     pass
                 costs.append(acc.total - before)
-        factor = self.hv.scheduler.dom0_slowdown(
-            self.hv.guest_demand(), dom0_threads=self.workers)
-        span = makespan(costs, self.workers) * factor
+        demand = self.hv.guest_demand()
+        span = self.hv.scheduler.parallel_elapsed(costs, self.workers,
+                                                  demand)
         clock.advance(span + self.interval)
 
         self._refresh_totals()
@@ -460,6 +466,8 @@ class Fleet:
                         borrowed=borrowed)
         if self.slo is not None:
             now = clock.now
+            factor = self.hv.scheduler.dom0_slowdown(
+                demand, dom0_threads=self.workers)
             for shard, cost in zip(ran, costs):
                 # a shard's own simulated latency this round: its raw
                 # deferred Dom0 cost under the contention stretch

@@ -13,7 +13,6 @@ from .health import (BreakerConfig, BreakerState, CircuitBreaker,
                      HealthRegistry)
 from .integrity import SUPPORTED_HASHES, IntegrityChecker, md5_hex
 from .modchecker import CheckOutcome, FetchResult, ModChecker, PoolOutcome
-from .parallel import ParallelModChecker, makespan
 from .parser import ModuleParser, ParsedModule
 from .report import (PairComparison, PoolReport, VMCheckReport, VMVerdict)
 from .rva import (ADJUSTERS, RvaAdjustStats, adjust_rva_faithful,
@@ -32,7 +31,6 @@ __all__ = [
     "BreakerConfig", "BreakerState", "CircuitBreaker", "HealthRegistry",
     "SUPPORTED_HASHES", "IntegrityChecker", "md5_hex",
     "CheckOutcome", "FetchResult", "ModChecker", "PoolOutcome",
-    "ParallelModChecker", "makespan",
     "ModuleParser", "ParsedModule",
     "PairComparison", "PoolReport", "VMCheckReport", "VMVerdict",
     "ADJUSTERS", "RvaAdjustStats", "adjust_rva_faithful",

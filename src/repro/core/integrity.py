@@ -259,8 +259,8 @@ class IntegrityChecker:
         """Majority-vote already-computed pair comparisons into a report.
 
         Split from :meth:`check_pool` so callers that schedule the
-        pairwise comparisons themselves (the parallel checker) can
-        reuse the exact voting semantics.
+        pairwise comparisons themselves (``ModChecker``: pair replay,
+        per-pair work items) can reuse the exact voting semantics.
         """
         names = [m.vm_name for m in modules]
         match_count = {name: 0 for name in names}

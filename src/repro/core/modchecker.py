@@ -11,12 +11,17 @@ pool of guests through VMI, then either
 * :meth:`check_all_modules` — sweep the whole loaded-module list.
 
 Component timings are taken from the simulated clock around each phase,
-yielding the Searcher/Parser/Checker breakdown the paper plots.
+yielding the Searcher/Parser/Checker breakdown the paper plots. With
+``workers>1`` (the paper's §V-C-1 parallel memory access) the same
+pipeline runs each phase with charges deferred, cuts the work into
+per-VM fetch chains and per-pair comparisons, and advances the clock
+once by their makespan over the modelled Dom0 threads.
 """
 
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -185,8 +190,18 @@ class ModChecker:
                  repair_policy: str = "detect-only",
                  repair_max_attempts: int = 3,
                  batch: bool = True,
-                 members: "Callable[[], list[str]] | None" = None) -> None:
+                 members: "Callable[[], list[str]] | None" = None,
+                 workers: int = 1) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
         self.hv = hypervisor
+        #: modelled Dom0 threads per check: 1 charges the clock as work
+        #: happens (the paper's sequential checker); N > 1 packs each
+        #: check's fetch chains and comparisons onto N threads
+        self.workers = workers
+        self._span_attrs = {"workers": workers} if workers > 1 else {}
+        #: the open phase's deferred-charge accumulator (workers > 1)
+        self._deferred = None
         #: vectorised acquisition for every VMI session this checker
         #: opens; ``batch=False`` pins the pool to the scalar reference
         #: path (the differential harness's control arm)
@@ -240,6 +255,9 @@ class ModChecker:
         self.pair_replays = 0
         #: per-fetch acquisition metadata, reset by every fetch round
         self._acq_meta: dict[str, _AcqMeta] = {}
+        #: each VM's searcher + parser work in the last fetch round, on
+        #: the phase meter: the fetch items of a workers > 1 makespan
+        self._fetch_work: dict[str, float] = {}
         self._vmis: dict[str, VMIInstance] = {}
         #: per-VM counters folded in from retired sessions, so the
         #: cumulative VMI metrics survive re-attach (reboot churn)
@@ -853,6 +871,71 @@ class ModChecker:
             return list(self.members())
         return [d.name for d in self.hv.guests()]
 
+    # -- work metering ---------------------------------------------------------
+
+    @contextmanager
+    def _phase(self):
+        """Meter one check phase (fetch or compare): a no-op for
+        ``workers=1``, where charges advance the clock and :meth:`_work`
+        reads it; for ``workers>1`` the phase's charges are deferred and
+        :meth:`_work` reads their raw Dom0 CPU total."""
+        if self.workers == 1:
+            yield
+            return
+        with self.hv.deferred_charges() as acc:
+            self._deferred = acc
+            try:
+                yield
+            finally:
+                self._deferred = None
+
+    def _work(self) -> float:
+        """Work done so far on the open phase's meter (see :meth:`_phase`)."""
+        acc = self._deferred
+        return self.hv.clock.now if acc is None else acc.total
+
+    def _compare_pairs(self, jobs) -> tuple[list[PairComparison],
+                                             list[float]]:
+        """Compare each ``(mod_a, mod_b)`` job, replaying when sound.
+
+        Returns the comparisons and each one's work on the phase meter
+        (a replayed pair costs nothing, so it lengthens no worker).
+        """
+        pairs: list[PairComparison] = []
+        work: list[float] = []
+        for mod_a, mod_b in jobs:
+            start = self._work()
+            pairs.append(self._compare_or_replay(mod_a, mod_b))
+            work.append(self._work() - start)
+        return pairs, work
+
+    def _check_timings(self, timings: ComponentTimings,
+                       pair_work: list[float],
+                       compare_work: float) -> ComponentTimings:
+        """The check's component breakdown; settles the clock.
+
+        ``workers=1``: charges already advanced the clock; add the
+        compare span. ``workers>1``: ``timings`` is raw CPU. Pack each
+        VM's fetch chain (searcher then parser) and each pair onto the
+        workers, advance the clock once, and split the fetch wall time
+        between searcher and parser by their CPU shares.
+        """
+        if self.workers == 1:
+            timings.checker = compare_work
+            return timings
+        scheduler = self.hv.scheduler
+        demand = self.hv.guest_demand()
+        fetch_wall = scheduler.parallel_elapsed(
+            list(self._fetch_work.values()), self.workers, demand)
+        check_wall = scheduler.parallel_elapsed(pair_work, self.workers,
+                                                demand)
+        self.hv.clock.advance(fetch_wall + check_wall)
+        s_cpu, p_cpu = timings.searcher, timings.parser
+        share = s_cpu / (s_cpu + p_cpu) if s_cpu + p_cpu else 1.0
+        return ComponentTimings(searcher=fetch_wall * share,
+                                parser=fetch_wall * (1.0 - share),
+                                checker=check_wall)
+
     # -- acquisition phase -------------------------------------------------------------
 
     def fetch_modules(self, module_name: str, vm_names: list[str],
@@ -865,12 +948,17 @@ class ModChecker:
         charged to the Dom0 clock either way. VMs whose reads keep
         failing after the retry budget land in ``failed`` instead of
         aborting the sweep.
+
+        Times are read on the open phase's meter: simulated seconds
+        normally, raw Dom0 CPU-seconds inside a ``workers>1`` check.
         """
         timings = ComponentTimings()
         per_vm: dict[str, float] = {}
         failed: dict[str, str] = {}
         parsed: list[ParsedModule] = []
         events = self.obs.events
+        work = self._work
+        chains = self._fetch_work = {}
 
         def acquired(vm_name: str, outcome: str) -> None:
             if events.enabled:
@@ -895,21 +983,22 @@ class ModChecker:
                 searcher = ModuleSearcher(vmi)
                 copy = None
                 cached = None
-                with self.hv.clock.span() as span:
-                    try:
-                        if self.incremental:
-                            cached = self._try_manifest(vmi, searcher,
-                                                        module_name)
-                        if cached is None:
-                            copy = searcher.copy_module(module_name)
-                    except ModuleNotLoadedError:
-                        pass
-                    except (TransientFault, RetryExhausted) as exc:
-                        failed[vm_name] = f"retry-exhausted: {exc}"
-                    except IntrospectionFault as exc:
-                        failed[vm_name] = f"unreadable: {exc}"
-                timings.searcher += span.elapsed
-                per_vm[vm_name] = span.elapsed
+                start = work()
+                try:
+                    if self.incremental:
+                        cached = self._try_manifest(vmi, searcher,
+                                                    module_name)
+                    if cached is None:
+                        copy = searcher.copy_module(module_name)
+                except ModuleNotLoadedError:
+                    pass
+                except (TransientFault, RetryExhausted) as exc:
+                    failed[vm_name] = f"retry-exhausted: {exc}"
+                except IntrospectionFault as exc:
+                    failed[vm_name] = f"unreadable: {exc}"
+                elapsed = work() - start
+                timings.searcher += elapsed
+                per_vm[vm_name] = chains[vm_name] = elapsed
                 if cached is not None:
                     # manifest hit: the stored ParsedModule re-enters the
                     # vote directly; no copy, no parse
@@ -920,12 +1009,14 @@ class ModChecker:
                     acquired(vm_name, failed.get(vm_name, "not-loaded")
                              .split(":", 1)[0])
                     continue
-                with self.hv.clock.span() as span:
-                    parsed_mod = self.parser.parse(copy)
-                    if self.incremental:
-                        self._note_acquisition(vmi, copy, parsed_mod)
-                    parsed.append(parsed_mod)
-                timings.parser += span.elapsed
+                start = work()
+                parsed_mod = self.parser.parse(copy)
+                if self.incremental:
+                    self._note_acquisition(vmi, copy, parsed_mod)
+                parsed.append(parsed_mod)
+                elapsed = work() - start
+                timings.parser += elapsed
+                chains[vm_name] += elapsed
                 acquired(vm_name, "ok")
             fetch_span.set(acquired=len(parsed), failed=len(failed))
         return FetchResult(parsed, timings, per_vm, failed)
@@ -942,13 +1033,15 @@ class ModChecker:
         cid = events.current_check or events.new_check_id()
         with events.correlate(cid), \
              self.obs.tracer.span("modchecker.check", module=module_name,
-                                  mode="target", target=target_vm):
+                                  mode="target", target=target_vm,
+                                  **self._span_attrs):
             if events.enabled:
                 events.emit("check.start", module=module_name,
                             mode="target", target=target_vm,
                             vms=len(names))
-            parsed, timings, per_vm, failed = self.fetch_modules(module_name,
-                                                                names)
+            with self._phase():
+                parsed, timings, per_vm, failed = self.fetch_modules(
+                    module_name, names)
             by_vm = {p.vm_name: p for p in parsed}
             if target_vm in failed:
                 raise RetryExhausted(
@@ -962,11 +1055,16 @@ class ModChecker:
                 raise InsufficientPool(
                     f"no other VM exposes {module_name!r} for comparison")
             with self.obs.tracer.span("checker.compare", module=module_name,
-                                      pairs=len(others)):
-                with self.hv.clock.span() as span:
-                    report = self.checker.check_target(by_vm[target_vm],
-                                                       others)
-            timings.checker = span.elapsed
+                                      pairs=len(others)), self._phase():
+                start = self._work()
+                pairs, pair_work = self._compare_pairs(
+                    (by_vm[target_vm], other) for other in others)
+                compare_work = self._work() - start
+            timings = self._check_timings(timings, pair_work, compare_work)
+            report = VMCheckReport(
+                module_name=module_name, target_vm=target_vm,
+                pairs=tuple(pairs), matches=sum(p.matched for p in pairs),
+                comparisons=len(pairs))
             if events.enabled:
                 events.emit("check.verdict", module=module_name,
                             mode="target", target=target_vm,
@@ -998,12 +1096,13 @@ class ModChecker:
         cid = events.current_check or events.new_check_id()
         with events.correlate(cid), \
              self.obs.tracer.span("modchecker.check", module=module_name,
-                                  mode=mode):
+                                  mode=mode, **self._span_attrs):
             if events.enabled:
                 events.emit("check.start", module=module_name, mode=mode,
                             vms=len(names))
-            parsed, timings, per_vm, failed = self.fetch_modules(module_name,
-                                                                names)
+            with self._phase():
+                parsed, timings, per_vm, failed = self.fetch_modules(
+                    module_name, names)
             if len(parsed) < 2:
                 degraded_note = (f" ({len(failed)} degraded: "
                                  f"{', '.join(sorted(failed))})"
@@ -1014,20 +1113,19 @@ class ModChecker:
             n_pairs = (len(parsed) - 1 if mode == "canonical"
                        else len(parsed) * (len(parsed) - 1) // 2)
             with self.obs.tracer.span("checker.compare", module=module_name,
-                                      pairs=n_pairs):
-                with self.hv.clock.span() as span:
-                    if mode == "canonical":
-                        report = self.checker.check_pool_canonical(parsed)
-                    elif self.incremental:
-                        pairs = []
-                        for i, mod_a in enumerate(parsed):
-                            for mod_b in parsed[i + 1:]:
-                                pairs.append(
-                                    self._compare_or_replay(mod_a, mod_b))
-                        report = self.checker.vote(parsed, pairs)
-                    else:
-                        report = self.checker.check_pool(parsed)
-            timings.checker = span.elapsed
+                                      pairs=n_pairs), self._phase():
+                start = self._work()
+                if mode == "canonical":
+                    # one O(t) pass over a single reference: one work item
+                    report = self.checker.check_pool_canonical(parsed)
+                    pair_work = [self._work() - start]
+                else:
+                    pairs, pair_work = self._compare_pairs(
+                        (mod_a, mod_b) for i, mod_a in enumerate(parsed)
+                        for mod_b in parsed[i + 1:])
+                    report = self.checker.vote(parsed, pairs)
+                compare_work = self._work() - start
+            timings = self._check_timings(timings, pair_work, compare_work)
             report.degraded = dict(failed)
             if self.incremental:
                 self._update_manifests(module_name, report)

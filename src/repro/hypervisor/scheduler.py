@@ -22,13 +22,34 @@ plus Dom0's one working vCPU) and ``P`` the number of logical pCPUs.
 The hyper-threading efficiency factor discounts the second logical
 thread of each core (a pair of hyperthreads ≈ 1.3 cores of throughput,
 a standard rule of thumb), which sharpens the knee the paper observed.
+
+Concurrent Dom0 work (the paper's §V-C-1 parallel memory access, and
+the fleet's shard rounds) is modelled, not threaded: raw CPU work items
+are packed onto ``workers`` threads with the LPT :func:`makespan`, and
+each thread is stretched by the contention factor for ``workers`` busy
+Dom0 vCPUs (:meth:`ContentionScheduler.parallel_elapsed`). The speedup
+therefore saturates once Dom0 threads plus guest load exceed the
+physical CPUs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CpuModel", "ContentionScheduler"]
+__all__ = ["CpuModel", "ContentionScheduler", "makespan"]
+
+
+def makespan(work_items: list[float], workers: int) -> float:
+    """LPT greedy makespan of ``work_items`` over ``workers`` bins."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not work_items:
+        return 0.0
+    bins = [0.0] * min(workers, len(work_items))
+    for item in sorted(work_items, reverse=True):
+        i = min(range(len(bins)), key=bins.__getitem__)
+        bins[i] += item
+    return max(bins)
 
 
 @dataclass(frozen=True)
@@ -67,8 +88,8 @@ class ContentionScheduler:
 
         ``guest_runnable_vcpus`` is the summed demand of all guests;
         ``dom0_threads`` is how many Dom0 vCPUs are busy (1 for the
-        paper's sequential checker, >1 for the parallel extension).
-        Always >= 1.
+        paper's sequential checker, ``workers`` for a concurrent
+        check or fleet round). Always >= 1.
         """
         if guest_runnable_vcpus < 0:
             raise ValueError("negative runnable demand")
@@ -84,6 +105,15 @@ class ContentionScheduler:
         per_thread_cap = self.cpu.effective_cores / logical
         return max(1.0, per_thread_cap / share) * (
             1.0 + self.cpu.interference * logical)
+
+    def parallel_elapsed(self, work_items: list[float], workers: int,
+                         guest_runnable_vcpus: float) -> float:
+        """Simulated time for raw Dom0 CPU ``work_items`` run on
+        ``workers`` concurrent Dom0 threads: the LPT makespan, with
+        every thread stretched by the contention for ``workers`` busy
+        Dom0 vCPUs."""
+        return makespan(work_items, workers) * self.dom0_slowdown(
+            guest_runnable_vcpus, dom0_threads=workers)
 
     def knee_vm_count(self, per_vm_load: float = 1.0) -> int:
         """Smallest loaded-VM count that saturates the logical CPUs.

@@ -489,9 +489,10 @@ class Hypervisor:
     def deferred_charges(self) -> "_DeferredCharges":
         """Collect Dom0 charges without advancing the clock.
 
-        Used by the parallel checker: per-VM CPU work is gathered
-        inside the context, then the caller advances the clock once
-        with a parallel-makespan model. ``with hv.deferred_charges()
+        Used by ``ModChecker(workers>1)`` checks and fleet rounds:
+        CPU work is gathered inside the context, then the caller
+        advances the clock once with the makespan model
+        (``scheduler.parallel_elapsed``). ``with hv.deferred_charges()
         as acc: ...; acc.total`` gives the raw CPU-seconds charged.
         """
         return _DeferredCharges(self)
@@ -505,12 +506,7 @@ class _DeferredCharges:
     def __init__(self, hypervisor: Hypervisor) -> None:
         self.hv = hypervisor
         self.total = 0.0
-        self.marks: list[float] = []
         self._prev = self._ABSENT
-
-    def mark(self) -> None:
-        """Record a cut point (e.g. per-VM boundaries)."""
-        self.marks.append(self.total)
 
     def __enter__(self) -> "_DeferredCharges":
         def collect(cpu_seconds: float) -> float:

@@ -68,6 +68,14 @@ class TestScheduler:
         assert tb.clock.now == pytest.approx(
             before + 60.0 + report.duration)
 
+    def test_shard_checkers_reject_their_own_workers(self):
+        # the fleet models Dom0 concurrency itself; a shard checker's
+        # makespan would advance the clock inside the deferred round
+        tb = build_fleet_testbed(4, seed=SEED)
+        with pytest.raises(ValueError, match="workers"):
+            Fleet(tb.hypervisor, checker_kwargs={"workers": 4})
+        Fleet(tb.hypervisor, checker_kwargs={"workers": 1})
+
     def test_more_workers_shrink_the_makespan(self):
         _, narrow = make_fleet(24, shard_size=4, workers=1)
         _, wide = make_fleet(24, shard_size=4, workers=8)

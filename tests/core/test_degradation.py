@@ -56,6 +56,19 @@ class TestPoolDegradation:
         assert report.flagged() == ["Dom3"]
         assert set(report.degraded) == {"Dom5"}
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_destroyed_vm_degrades_as_unreachable(self, workers):
+        # an explicit vms= list may name a guest destroyed since the
+        # caller built it: that VM degrades, the check goes on
+        tb = build_testbed(4, seed=SEED)
+        mc = ModChecker(tb.hypervisor, tb.profile, workers=workers)
+        tb.hypervisor.destroy("Dom2")
+        report = mc.check_pool("hal.dll", tb.vm_names).report
+        assert set(report.degraded) == {"Dom2"}
+        assert report.degraded["Dom2"].startswith("unreachable:")
+        assert sorted(report.verdicts) == ["Dom1", "Dom3", "Dom4"]
+        assert report.all_clean
+
     def test_insufficient_quorum_raises(self):
         tb = build_testbed(3, seed=SEED)
         mc = ModChecker(tb.hypervisor, tb.profile)

@@ -246,10 +246,9 @@ class TestGuards:
 class TestParallelParity:
     def test_parallel_event_driven_same_verdicts(self, clean_testbed,
                                                  catalog):
-        from repro.core.parallel import ParallelModChecker
         tb = clean_testbed
-        mc = ParallelModChecker(tb.hypervisor, tb.profile, threads=4,
-                                event_driven=True)
+        mc = ModChecker(tb.hypervisor, tb.profile, workers=4,
+                        event_driven=True)
         assert mc.event_driven and mc.incremental
         assert mc.check_pool(MODULE).report.all_clean
         assert mc.check_pool(MODULE).report.all_clean
@@ -262,13 +261,12 @@ class TestParallelParity:
 
     def test_parallel_trap_accounting_matches_sequential(self,
                                                          clean_testbed):
-        from repro.core.parallel import ParallelModChecker
         tb = clean_testbed
         seq = ModChecker(tb.hypervisor, tb.profile, event_driven=True)
         for _ in range(3):
             seq.check_pool(MODULE)
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4,
-                                 event_driven=True)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4,
+                         event_driven=True)
         for _ in range(3):
             par.check_pool(MODULE)
         assert par.trap_validations == seq.trap_validations

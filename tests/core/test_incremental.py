@@ -11,7 +11,6 @@ import pytest
 from repro.attacks.memory import RuntimeCodePatchAttack
 from repro.cloud import build_testbed
 from repro.core import ModChecker
-from repro.core.parallel import ParallelModChecker
 
 MODULE = "hal.dll"
 
@@ -208,8 +207,8 @@ class TestParallelParity:
     def test_parallel_fast_path_and_same_verdicts(self, clean_testbed,
                                                   catalog):
         tb = clean_testbed
-        mc = ParallelModChecker(tb.hypervisor, tb.profile, threads=4,
-                                incremental=True)
+        mc = ModChecker(tb.hypervisor, tb.profile, workers=4,
+                        incremental=True)
         r1 = mc.check_pool(MODULE).report
         assert r1.all_clean
         r2 = mc.check_pool(MODULE).report
@@ -225,8 +224,8 @@ class TestParallelParity:
 
     def test_parallel_warm_round_is_cheaper(self, clean_testbed):
         tb = clean_testbed
-        mc = ParallelModChecker(tb.hypervisor, tb.profile, threads=4,
-                                incremental=True)
+        mc = ModChecker(tb.hypervisor, tb.profile, workers=4,
+                        incremental=True)
         with tb.clock.span() as cold:
             mc.check_pool(MODULE)
         with tb.clock.span() as warm:

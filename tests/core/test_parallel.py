@@ -1,9 +1,64 @@
-"""Unit tests for the parallel-introspection extension."""
+"""``ModChecker(workers=N)``: the modelled parallel-introspection clock.
+
+With ``workers>1`` each check's per-VM fetch chains and per-pair
+comparisons are packed onto N Dom0 threads (LPT makespan, stretched by
+Dom0 contention) and the clock advances once; ``workers=1`` is the
+paper's sequential clock. ``golden/workers_clock.json`` pins the N>1
+clock model: the component breakdown and the clock advance of five
+kinds of check at N = 2, 4 and 8.
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.cloud import build_testbed
-from repro.core import ModChecker, ParallelModChecker, makespan
+from repro.core import ModChecker
+from repro.hypervisor.scheduler import makespan
+from repro.obs import make_observability
+
+GOLDEN = Path(__file__).parent / "golden" / "workers_clock.json"
+GOLDEN_WORKERS = (2, 4, 8)
+
+#: (run name, checker kwargs, pool-check kwargs or None for check_on_vm,
+#: whether the measured check is a warm second round)
+GOLDEN_RUNS = (
+    ("check_on_vm", {}, None, False),
+    ("pool_pairwise", {}, {}, False),
+    ("pool_canonical", {}, {"mode": "canonical"}, False),
+    ("incremental_warm", {"incremental": True}, {}, True),
+    ("event_driven_warm", {"event_driven": True}, {}, True),
+)
+
+
+def measure_clock_model(make, workers: int) -> dict:
+    """Run every :data:`GOLDEN_RUNS` check with ``make(tb, workers, **kw)``.
+
+    Returns ``{run: {searcher, parser, checker, advance}}``: the
+    outcome's component timings and how far the check moved the clock.
+    """
+    out = {}
+    for name, kwargs, pool_kwargs, warm in GOLDEN_RUNS:
+        tb = build_testbed(6, seed=42)
+        mc = make(tb, workers, **kwargs)
+
+        def check():
+            if pool_kwargs is None:
+                return mc.check_on_vm("http.sys", "Dom1")
+            return mc.check_pool("hal.dll", **pool_kwargs)
+
+        if warm:
+            check()
+        with tb.clock.span() as span:
+            timings = check().timings
+        out[name] = {"searcher": timings.searcher, "parser": timings.parser,
+                     "checker": timings.checker, "advance": span.elapsed}
+    return out
+
+
+def _with_workers(tb, workers, **kwargs):
+    return ModChecker(tb.hypervisor, tb.profile, workers=workers, **kwargs)
 
 
 class TestMakespan:
@@ -35,11 +90,23 @@ class TestMakespan:
         assert makespan([5.0, 0.1, 0.1], 8) == pytest.approx(5.0)
 
 
+class TestClockModelGolden:
+    @pytest.mark.parametrize("workers", GOLDEN_WORKERS)
+    def test_matches_golden(self, workers):
+        golden = json.loads(GOLDEN.read_text())[str(workers)]
+        got = measure_clock_model(_with_workers, workers)
+        assert set(got) == set(golden)
+        for run, fields in golden.items():
+            for name, value in fields.items():
+                assert got[run][name] == pytest.approx(value, rel=1e-9), \
+                    f"{run}.{name} at workers={workers}"
+
+
 class TestParallelChecker:
     def test_same_verdict_as_sequential(self, clean_testbed_session):
         tb = clean_testbed_session
         seq = ModChecker(tb.hypervisor, tb.profile)
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
         r_seq = seq.check_on_vm("http.sys", "Dom1").report
         r_par = par.check_on_vm("http.sys", "Dom1").report
         assert r_seq.clean == r_par.clean
@@ -49,7 +116,7 @@ class TestParallelChecker:
     def test_parallel_faster_on_idle_host(self):
         tb = build_testbed(8, seed=42)
         seq = ModChecker(tb.hypervisor, tb.profile)
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
         with tb.clock.span() as s:
             seq.check_on_vm("http.sys", "Dom1")
         with tb.clock.span() as p:
@@ -58,25 +125,30 @@ class TestParallelChecker:
         assert p.elapsed > s.elapsed / 8     # no free lunch
 
     def test_speedup_attribute(self, clean_testbed_session):
+        # the outcome's timings are wall time, so the speedup over the
+        # sequential breakdown shows on the attribute itself
         tb = clean_testbed_session
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
-        out = par.check_on_vm("http.sys", "Dom1")
-        assert out.parallel.speedup >= 1.0
+        seq = ModChecker(tb.hypervisor, tb.profile)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
+        s = seq.check_on_vm("http.sys", "Dom1").timings
+        p = par.check_on_vm("http.sys", "Dom1").timings
+        assert s.total / p.total >= 1.0
 
     def test_one_thread_close_to_sequential(self):
         tb = build_testbed(5, seed=42)
         seq = ModChecker(tb.hypervisor, tb.profile)
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=1)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=1)
         with tb.clock.span() as s:
             seq.check_on_vm("http.sys", "Dom1")
         with tb.clock.span() as p:
             par.check_on_vm("http.sys", "Dom1")
-        assert p.elapsed == pytest.approx(s.elapsed, rel=0.15)
+        assert p.elapsed == pytest.approx(s.elapsed, rel=1e-9)
 
     def test_invalid_threads(self, clean_testbed_session):
+        # workers are modelled Dom0 threads: at least one
         tb = clean_testbed_session
         with pytest.raises(ValueError):
-            ParallelModChecker(tb.hypervisor, tb.profile, threads=0)
+            ModChecker(tb.hypervisor, tb.profile, workers=0)
 
     def test_detects_infection_like_sequential(self):
         from repro.attacks import InlineHookAttack
@@ -85,7 +157,7 @@ class TestParallelChecker:
         infected = InlineHookAttack().apply(catalog["hal.dll"]).infected
         tb = build_testbed(4, seed=42,
                            infected={"Dom3": {"hal.dll": infected}})
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
         assert not par.check_on_vm("hal.dll", "Dom3").report.clean
         assert par.check_on_vm("hal.dll", "Dom1").report.clean
 
@@ -94,7 +166,7 @@ class TestParallelPool:
     def test_pool_same_verdict_as_sequential(self, clean_testbed_session):
         tb = clean_testbed_session
         seq = ModChecker(tb.hypervisor, tb.profile)
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
         r_seq = seq.check_pool("hal.dll").report
         r_par = par.check_pool("hal.dll").report
         assert r_par.all_clean == r_seq.all_clean
@@ -104,7 +176,7 @@ class TestParallelPool:
     def test_pool_parallel_faster_on_idle_host(self):
         tb = build_testbed(8, seed=42)
         seq = ModChecker(tb.hypervisor, tb.profile)
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
         with tb.clock.span() as s:
             seq.check_pool("http.sys")
         with tb.clock.span() as p:
@@ -113,19 +185,20 @@ class TestParallelPool:
         assert p.elapsed > s.elapsed / 8
 
     def test_pool_parser_time_attributed(self, clean_testbed_session):
-        # Regression: the parallel path used to fold Parser work into
+        # Regression: the parallel path once folded Parser work into
         # Searcher, reporting parser == 0.0 in every breakdown.
         tb = clean_testbed_session
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
-        out = par.check_pool("hal.dll")
-        assert out.timings.parser > 0
-        assert out.timings.searcher > out.timings.parser
-        assert out.parallel.cpu.parser > 0
-        assert out.parallel.speedup > 1.0
+        seq = ModChecker(tb.hypervisor, tb.profile)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
+        s = seq.check_pool("hal.dll").timings
+        p = par.check_pool("hal.dll").timings
+        assert p.parser > 0
+        assert p.searcher > p.parser
+        assert p.total < s.total
 
     def test_pool_canonical_mode(self, clean_testbed_session):
         tb = clean_testbed_session
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
         out = par.check_pool("hal.dll", mode="canonical")
         assert out.report.all_clean
 
@@ -136,13 +209,17 @@ class TestParallelPool:
         infected = InlineHookAttack().apply(catalog["hal.dll"]).infected
         tb = build_testbed(4, seed=42,
                            infected={"Dom3": {"hal.dll": infected}})
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4)
         report = par.check_pool("hal.dll").report
         assert report.flagged() == ["Dom3"]
 
     def test_check_all_modules_goes_parallel(self):
         tb = build_testbed(4, seed=42)
-        par = ParallelModChecker(tb.hypervisor, tb.profile, threads=4)
+        obs = make_observability(tb.clock)
+        par = ModChecker(tb.hypervisor, tb.profile, workers=4, obs=obs)
         outcomes = par.check_all_modules()
         assert outcomes
-        assert all(hasattr(o, "parallel") for o in outcomes.values())
+        checks = [s for s in obs.tracer.spans
+                  if s.name == "modchecker.check"]
+        assert len(checks) == len(outcomes)
+        assert all(s.attrs["workers"] == 4 for s in checks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks import (LdrBlindingAttack, RacingWriterAttack,
-                           RuntimeCodePatchAttack)
+                           RuntimeCodePatchAttack, attack_for_experiment)
 from repro.cloud import build_testbed
 from repro.core import ModChecker
 from repro.core.daemon import CheckDaemon, RoundRobinPolicy
@@ -75,6 +75,23 @@ class TestVerifiedRepair:
         va = result.details["va"]
         restored = kernel.aspace.read(va, len(result.details["patch"]) // 2)
         assert restored.hex() == result.details["original"][:len(restored) * 2]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_e2_victim_healed(self, workers):
+        # E2 booted infected (inline hook baked into the image on disk):
+        # the repair restores the in-memory copy to the majority's
+        attack, module = attack_for_experiment("E2")
+        tb = build_testbed(4, seed=SEED)
+        infected = attack.apply(tb.catalog[module]).infected
+        tb = build_testbed(4, seed=SEED,
+                           infected={VICTIM: {module: infected}})
+        mc = make_checker(tb, workers=workers)
+        out = mc.check_pool(module)
+        assert out.report.flagged() == [VICTIM]
+        (rec,) = out.remediations
+        assert rec.status == "verified"
+        assert rec.mttr > 0
+        assert mc.check_pool(module).report.all_clean
 
     def test_writes_only_unexplained_bytes(self, clean_testbed,
                                            hal_blueprint):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.attacks import attack_for_experiment
 from repro.cloud import build_testbed
 from repro.core import ModChecker
@@ -109,13 +111,15 @@ class TestWiredThroughModChecker:
         assert rec.captures == 0
         assert rec.last is None
 
-    def test_infected_pool_fires_once_per_check(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_infected_pool_fires_once_per_check(self, workers):
         attack, module = attack_for_experiment("E1")
         result = attack.apply(build_catalog(seed=42)[module])
         tb = build_testbed(4, seed=42,
                            infected={VICTIM: {module: result.infected}})
         rec = EvidenceRecorder()
-        mc = ModChecker(tb.hypervisor, tb.profile, evidence=rec)
+        mc = ModChecker(tb.hypervisor, tb.profile, evidence=rec,
+                        workers=workers)
         mc.check_pool(module)
         assert rec.captures == 1
         assert rec.last.flagged == [VICTIM]

@@ -6,7 +6,9 @@ same *observable verdict stream* as one running the full pipeline —
 event for event on the verdict-bearing vocabulary (``check.start``,
 ``check.verdict``, ``pair.compared``, ``alert.raised``) and alert for
 alert (times excluded: the modes advance the simulated clock
-differently, which is the entire point of the optimisation).
+differently, which is the entire point of the optimisation). The same
+holds across the batch/scalar acquisition arms and across
+``workers=1``/``workers=4`` (the modelled parallel clock).
 
 The event-driven arms run the daemon with ``trap_priority=False``:
 trap-ahead scheduling deliberately *reorders* checks, which changes
@@ -45,13 +47,14 @@ SEEDS = range(10)
 def _run(seed: int, *, incremental: bool, event_driven: bool = False,
          cycles: int = 8, churn_rate: float = 0.35,
          infected: dict | None = None, tamper_at: int | None = None,
-         trap_priority: bool = False, batch: bool = True):
+         trap_priority: bool = False, batch: bool = True,
+         workers: int = 1):
     """One seeded daemon soak; returns (events, alerts, chaos kinds)."""
     tb = build_testbed(5, seed=seed, infected=infected)
     obs = make_observability(tb.clock)
     mc = ModChecker(tb.hypervisor, tb.profile, obs=obs,
                     incremental=incremental, event_driven=event_driven,
-                    batch=batch)
+                    batch=batch, workers=workers)
     engine = ChaosEngine(tb.hypervisor,
                          ChaosConfig.from_churn_rate(churn_rate),
                          seed=seed, catalog=tb.catalog)
@@ -155,6 +158,33 @@ class TestBatchEquivalence:
         assert batched[0] == scalar[0]
         assert batched[1] == scalar[1]
         assert any("Dom2" in a[1] for a in batched[1])
+
+
+class TestWorkersEquivalence:
+    """``workers=4`` changes only the clock model: the same work is
+    packed onto modelled Dom0 threads instead of charged in sequence.
+    Every pipeline mode must emit the same verdict stream and alert
+    list as ``workers=1`` on the same seeded chaos trace."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 8])
+    @pytest.mark.parametrize("mode", ["full", "incremental", "trap"])
+    def test_verdicts_identical_across_worker_counts(self, seed, mode):
+        kwargs = {"incremental": mode != "full",
+                  "event_driven": mode == "trap"}
+        sequential = _run(seed, workers=1, **kwargs)
+        parallel = _run(seed, workers=4, **kwargs)
+        assert parallel[0] == sequential[0]
+        assert parallel[1] == sequential[1]
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_midstream_tamper_convicted_identically(self, seed):
+        sequential = _run(seed, incremental=True, event_driven=True,
+                          churn_rate=0.0, tamper_at=4, workers=1)
+        parallel = _run(seed, incremental=True, event_driven=True,
+                        churn_rate=0.0, tamper_at=4, workers=4)
+        assert parallel[0] == sequential[0]
+        assert parallel[1] == sequential[1]
+        assert any("Dom2" in a[1] for a in parallel[1])
 
 
 class TestTrapPriority:

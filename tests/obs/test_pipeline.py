@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cloud import build_testbed
 from repro.core import CheckDaemon, ModChecker
 from repro.core.daemon import RoundRobinPolicy
-from repro.core.parallel import ParallelModChecker
 from repro.hypervisor import FaultConfig, FaultInjector
 from repro.obs import make_observability
 from repro.vmi.retry import RetryPolicy
@@ -102,8 +103,7 @@ class TestStageReconciliation:
     def test_parallel_checker_records_wall_breakdown(self):
         tb = build_testbed(4, seed=SEED)
         obs = make_observability(tb.clock)
-        mc = ParallelModChecker(tb.hypervisor, tb.profile, threads=2,
-                                obs=obs)
+        mc = ModChecker(tb.hypervisor, tb.profile, workers=2, obs=obs)
         out = mc.check_pool("hal.dll")
         hist = obs.metrics.histogram("modchecker_stage_seconds")
         for stage in ("searcher", "parser", "checker"):
@@ -112,7 +112,29 @@ class TestStageReconciliation:
                 <= 0.01 * max(expected, 1e-12)
         (root,) = obs.tracer.roots()
         assert root.name == "modchecker.check"
-        assert root.attrs["mode"] == "parallel-pairwise"
+        assert root.attrs["mode"] == "pairwise"
+        assert root.attrs["workers"] == 2
+        # the makespan lands inside the check span: it covers the wall
+        assert root.duration == pytest.approx(out.timings.total)
+
+    def test_sequential_check_span_has_no_workers_attr(self):
+        tb, obs, mc = _checked_testbed()
+        mc.check_pool("hal.dll")
+        (root,) = obs.tracer.roots()
+        assert "workers" not in root.attrs
+
+
+class TestCheckCorrelation:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_check_events_share_one_correlation_id(self, workers):
+        tb, obs, mc = _checked_testbed(workers=workers)
+        mc.check_pool("hal.dll")
+        names = ("check.start", "check.verdict", "module.acquired")
+        events = [e for e in obs.events.events if e.name in names]
+        assert {e.name for e in events} == set(names)
+        assert len(events) == 2 + len(tb.vm_names)
+        (cid,) = {e.check_id for e in events}
+        assert cid.startswith("chk-")
 
 
 class TestVerdictAndVmiMetrics:

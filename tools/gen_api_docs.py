@@ -43,7 +43,7 @@ MODULES = [
     "repro.attacks.memory", "repro.attacks.registry",
     "repro.core.searcher", "repro.core.parser", "repro.core.rva",
     "repro.core.integrity", "repro.core.modchecker", "repro.core.report",
-    "repro.core.parallel", "repro.core.carver", "repro.core.crossview",
+    "repro.core.carver", "repro.core.crossview",
     "repro.core.versioning", "repro.core.daemon", "repro.core.health",
     "repro.core.baselines",
     "repro.perf.costmodel", "repro.perf.workload", "repro.perf.monitor",
