@@ -1,8 +1,9 @@
 """A3 — Algorithm 2 implementation ablation.
 
-Compares the three RVA-adjustment implementations on identical inputs:
+Compares the RVA-adjustment implementations on identical inputs:
 (a) real wall-clock cost on a large relocated section (pytest-benchmark),
-(b) output equivalence, and (c) behaviour of the faithful variant's
+(b) the numpy kernel's speed against the per-byte oracle it replaced,
+(c) output equivalence, and (d) behaviour of the faithful variant's
 precondition (identical bases → it refuses to adjust).
 """
 
@@ -13,8 +14,9 @@ import struct
 import pytest
 
 from repro.core.rva import (ADJUSTERS, adjust_rva_faithful,
-                            adjust_rva_robust, adjust_rva_vectorized)
+                            adjust_rva_robust)
 from repro.rng import make_rng
+from tests.core.rva_oracle import oracle_adjust_rva_robust
 
 BASE1, BASE2 = 0xF7010000, 0xF70B5000
 SIZE = 256 * 1024          # a driver-scale .text section
@@ -50,8 +52,13 @@ def test_adjuster_wall_clock(benchmark, mode):
     assert stats.unresolved == 0
 
 
-def test_vectorized_not_slower_than_robust():
-    """The numpy diff scan must pay off on driver-scale sections."""
+#: the numpy kernel must beat the per-byte loop by at least this factor
+KERNEL_SPEEDUP_FLOOR = 4.0
+
+
+def test_kernel_at_least_4x_faster_than_oracle():
+    """The numpy kernel must pay off on driver-scale sections: a ratio,
+    so machine speed cancels (min of 5 runs each)."""
     import time
     _, c1, c2 = PAIR
 
@@ -60,15 +67,16 @@ def test_vectorized_not_slower_than_robust():
         fn(c1, BASE1, c2, BASE2)
         return time.perf_counter() - t0
 
-    t_robust = min(clock(adjust_rva_robust) for _ in range(3))
-    t_vec = min(clock(adjust_rva_vectorized) for _ in range(3))
-    assert t_vec < t_robust
+    t_oracle = min(clock(oracle_adjust_rva_robust) for _ in range(5))
+    t_kernel = min(clock(adjust_rva_robust) for _ in range(5))
+    assert t_oracle >= KERNEL_SPEEDUP_FLOOR * t_kernel, (t_oracle, t_kernel)
 
 
 def test_all_variants_equivalent_on_driver_pair():
     canonical, c1, c2 = PAIR
     outputs = {mode: fn(c1, BASE1, c2, BASE2)
                for mode, fn in ADJUSTERS.items()}
+    outputs["oracle"] = oracle_adjust_rva_robust(c1, BASE1, c2, BASE2)
     reference = outputs["robust"]
     for mode, out in outputs.items():
         assert out[0] == reference[0], mode

@@ -38,7 +38,7 @@ import sys
 from .analysis import format_seconds, render_table
 from .attacks import attack_for_experiment
 from .cloud import build_testbed
-from .core import ModChecker
+from .core import ADJUSTERS, ModChecker
 from .core.daemon import CheckDaemon, RoundRobinPolicy
 from .errors import InsufficientPool
 from .guest import build_catalog
@@ -140,7 +140,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_repair(p_check)
     p_check.add_argument("--module", default="hal.dll")
     p_check.add_argument("--rva-mode", default="robust",
-                         choices=["faithful", "robust", "vectorized"])
+                         choices=sorted(ADJUSTERS))
     p_check.add_argument("--hash", default="md5",
                          choices=["md5", "sha1", "sha256"])
     p_check.add_argument("--pool-mode", default="pairwise",

@@ -16,8 +16,7 @@ from .modchecker import CheckOutcome, FetchResult, ModChecker, PoolOutcome
 from .parser import ModuleParser, ParsedModule
 from .report import (PairComparison, PoolReport, VMCheckReport, VMVerdict)
 from .rva import (ADJUSTERS, RvaAdjustStats, adjust_rva_faithful,
-                  adjust_rva_robust, adjust_rva_vectorized,
-                  first_differing_base_byte)
+                  adjust_rva_robust, first_differing_base_byte)
 from .searcher import ModuleCopy, ModuleListEntry, ModuleSearcher
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "ModuleParser", "ParsedModule",
     "PairComparison", "PoolReport", "VMCheckReport", "VMVerdict",
     "ADJUSTERS", "RvaAdjustStats", "adjust_rva_faithful",
-    "adjust_rva_robust", "adjust_rva_vectorized",
-    "first_differing_base_byte",
+    "adjust_rva_robust", "first_differing_base_byte",
     "ModuleCopy", "ModuleListEntry", "ModuleSearcher",
 ]

@@ -8,7 +8,7 @@ streams differ it assumes an absolute address starts nearby, computes
 both 4-byte slots with the RVA — restoring base-independent content
 (Fig. 4 of the paper).
 
-Three implementations:
+Two implementations:
 
 ``adjust_rva_faithful``
     The paper's pseudocode, literally: the start-of-address offset is
@@ -26,16 +26,11 @@ Three implementations:
 ``adjust_rva_robust``
     No assumption about where the address starts: every candidate start
     in the 4-byte window before a difference is tried and accepted iff
-    both sides yield the *same, plausible* RVA.
+    both sides yield the *same, plausible* RVA. The scan itself is
+    :func:`scan_slots`, one numpy kernel that the forensic diff
+    (:mod:`repro.forensics.diff`) classifies its hunks from too.
 
-``adjust_rva_vectorized``
-    Same acceptance rule as *robust*, but difference positions come
-    from one numpy comparison over the whole section (guides: vectorise
-    the hot loop) and candidate windows are verified in batches. For
-    clean modules (sparse diffs) this is the fast path the parallel
-    checker uses.
-
-All three return new buffers plus :class:`RvaAdjustStats`; a difference
+Both return new buffers plus :class:`RvaAdjustStats`; a difference
 window no candidate start can explain is counted in ``unresolved`` —
 for clean modules that count is 0, and tampering shows up both as
 ``unresolved`` windows and as a final hash mismatch.
@@ -45,6 +40,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +49,8 @@ __all__ = [
     "first_differing_base_byte",
     "adjust_rva_faithful",
     "adjust_rva_robust",
-    "adjust_rva_vectorized",
+    "SlotScan",
+    "scan_slots",
     "ADJUSTERS",
 ]
 
@@ -89,14 +86,6 @@ def first_differing_base_byte(base1: int, base2: int) -> int | None:
     return None
 
 
-def _read_u32(buf: bytearray, off: int) -> int:
-    return _U32.unpack_from(buf, off)[0]
-
-
-def _write_u32(buf: bytearray, off: int, value: int) -> None:
-    _U32.pack_into(buf, off, value & 0xFFFFFFFF)
-
-
 def adjust_rva_faithful(data1: bytes, base1: int, data2: bytes, base2: int,
                         *, max_rva: int | None = None,
                         ) -> tuple[bytes, bytes, RvaAdjustStats]:
@@ -122,13 +111,13 @@ def adjust_rva_faithful(data1: bytes, base1: int, data2: bytes, base2: int,
             stats.windows += 1
             start = j - d               # paper: j - offset + 1, 0-based
             if 0 <= start and start + 4 <= n:
-                abs1 = _read_u32(out1, start)
-                abs2 = _read_u32(out2, start)
+                abs1 = _U32.unpack_from(out1, start)[0]
+                abs2 = _U32.unpack_from(out2, start)[0]
                 rva1 = (abs1 - base1) & 0xFFFFFFFF
                 rva2 = (abs2 - base2) & 0xFFFFFFFF
                 if rva1 == rva2 and rva1 < limit:
-                    _write_u32(out1, start, rva1)
-                    _write_u32(out2, start, rva2)
+                    _U32.pack_into(out1, start, rva1)
+                    _U32.pack_into(out2, start, rva2)
                     stats.replaced += 1
                     j = start + 4       # paper line 22 (with the sign fixed)
                     continue
@@ -139,92 +128,134 @@ def adjust_rva_faithful(data1: bytes, base1: int, data2: bytes, base2: int,
     return bytes(out1), bytes(out2), stats
 
 
-def _try_window(out1: bytearray, out2: bytearray, j: int, base1: int,
-                base2: int, limit: int) -> int | None:
-    """Find a candidate slot start covering difference position ``j``.
+class SlotScan(NamedTuple):
+    """Outcome of :func:`scan_slots`, one entry per difference window."""
 
-    Returns the accepted start offset, or None. Candidates are tried
-    from the earliest position whose 4-byte slot still covers ``j``.
+    window: np.ndarray     # byte position of the window, ascending
+    start: np.ndarray      # accepted slot start, -1 when unresolved
+    rva: np.ndarray        # the slot's RVA (0 when unresolved)
+
+
+_SLOT = np.arange(4)
+
+
+def scan_slots(data1: bytes, base1: int, data2: bytes, base2: int,
+               limit: int) -> SlotScan:
+    """The robust rule's greedy left-to-right scan, vectorised.
+
+    A differing byte ``j`` opens a window unless an accepted slot covers
+    it; of the starts ``j-3..j``, the earliest whose two u32 values
+    decode to one RVA below ``limit`` is accepted and consumes 4 bytes.
+    One numpy pass tests every start on the original bytes. That test
+    also holds for the first difference after a gap of 4 or more bytes:
+    the only starts that could see a previous slot's rewritten bytes
+    would need the bases to share more low bytes than that slot's own
+    first difference allows. So a cluster of differences settled by its
+    first window is resolved in bulk; the rest go through :func:`_greedy`.
     """
-    n = len(out1)
-    for start in range(max(0, j - 3), min(j, n - 4) + 1):
-        abs1 = _read_u32(out1, start)
-        abs2 = _read_u32(out2, start)
-        rva1 = (abs1 - base1) & 0xFFFFFFFF
-        rva2 = (abs2 - base2) & 0xFFFFFFFF
-        if rva1 == rva2 and rva1 < limit:
-            _write_u32(out1, start, rva1)
-            _write_u32(out2, start, rva2)
-            return start
-    return None
+    a1, a2 = np.frombuffer(data1, np.uint8), np.frombuffer(data2, np.uint8)
+    diffs = np.flatnonzero(a1 != a2)
+    if not diffs.size:
+        return SlotScan(diffs, diffs, diffs)
+    b1, b2 = base1 & 0xFFFFFFFF, base2 & 0xFFFFFFFF
+    shape = (max(a1.size - 3, 0),)
+    rva = np.ndarray(shape, "<u4", a1, 0, (1,)) - np.uint32(b1)
+    accept = rva == np.ndarray(shape, "<u4", a2, 0, (1,)) - np.uint32(b2)
+    accept &= rva < limit
+    pad = np.zeros(3, dtype=bool)
+    hits = np.concatenate((pad, accept, pad))[diffs[:, None] + _SLOT]
+    first = np.where(hits.any(axis=1), diffs - 3 + hits.argmax(axis=1), -1)
+    # index -1 (unresolved) reads the appended 0
+    first_rva = np.append(rva, np.uint32(0))[first].astype(np.int64)
+
+    gap = np.flatnonzero(diffs[1:] - diffs[:-1] > 3) + 1
+    heads = np.concatenate(((0,), gap))
+    tails = np.concatenate((gap, (diffs.size,))) - 1
+    settled = (first[heads] >= 0) & (diffs[tails] <= first[heads] + 3)
+    window = np.zeros(diffs.size, dtype=bool)
+    window[heads[settled]] = True
+    if not settled.all():
+        tangled = np.flatnonzero(np.repeat(~settled, tails - heads + 1))
+        at, starts, rvas = _greedy(
+            tangled.tolist(), diffs[tangled].tolist(),
+            first[tangled].tolist(), first_rva[tangled].tolist(),
+            accept, rva, a1, a2, b1, b2, limit)
+        window[at] = True
+        first[at], first_rva[at] = starts, rvas
+    return SlotScan(diffs[window], first[window], first_rva[window])
+
+
+def _greedy(at: list[int], diffs: list[int], first: list[int],
+            first_rva: list[int], accept: np.ndarray, rva: np.ndarray,
+            a1: np.ndarray, a2: np.ndarray, b1: int, b2: int, limit: int,
+            ) -> tuple[list[int], list[int], list[int]]:
+    """Slot-by-slot consumption of the clusters no one window settles.
+
+    Returns the windows' diff indices, slot starts and RVAs. A window
+    whose starts reach back into the previous slot re-tests those starts
+    on that slot's *rewritten* bytes (its RVA, equal on both sides), as
+    an in-place per-byte scan sees them; the others keep ``first``.
+    """
+    windows: list[int] = []
+    starts: list[int] = []
+    rvas: list[int] = []
+    end = last = -8                     # last byte and start of last slot
+    rewritten = b""                     # the last slot's bytes, both sides
+    for i, j, found, value in zip(at, diffs, first, first_rva):
+        if j <= end:
+            continue
+        if j - 3 <= end:
+            found, value = -1, 0
+            for c in range(j - 3, min(j, a1.size - 4) + 1):
+                if c > end:
+                    ok, r = accept[c], int(rva[c])
+                else:
+                    keep = rewritten[c - last:]
+                    r = (int.from_bytes(keep + a1[end + 1:c + 4].tobytes(),
+                                        "little") - b1) & 0xFFFFFFFF
+                    ok = r < limit and r == (int.from_bytes(
+                        keep + a2[end + 1:c + 4].tobytes(), "little")
+                        - b2) & 0xFFFFFFFF
+                if ok:
+                    found, value = c, r
+                    break
+        windows.append(i)
+        starts.append(found)
+        rvas.append(value)
+        if found >= 0:
+            last, end = found, found + 3
+            rewritten = value.to_bytes(4, "little")
+    return windows, starts, rvas
 
 
 def adjust_rva_robust(data1: bytes, base1: int, data2: bytes, base2: int,
                       *, max_rva: int | None = None,
                       ) -> tuple[bytes, bytes, RvaAdjustStats]:
-    """Candidate-window search; no base-byte-pattern assumption."""
-    if len(data1) != len(data2):
-        raise ValueError("section copies differ in length")
-    out1, out2 = bytearray(data1), bytearray(data2)
-    stats = RvaAdjustStats()
-    if base1 == base2:
-        return bytes(out1), bytes(out2), stats
-    limit = max_rva if max_rva is not None else max(len(data1) * 16, 1 << 20)
-    n = len(out1)
-    j = 0
-    while j < n:
-        if out1[j] == out2[j]:
-            j += 1
-            continue
-        stats.windows += 1
-        start = _try_window(out1, out2, j, base1, base2, limit)
-        if start is None:
-            stats.unresolved += 1
-            j += 1
-        else:
-            stats.replaced += 1
-            j = start + 4
-    return bytes(out1), bytes(out2), stats
+    """Candidate-window search; no base-byte-pattern assumption.
 
-
-def adjust_rva_vectorized(data1: bytes, base1: int, data2: bytes, base2: int,
-                          *, max_rva: int | None = None,
-                          ) -> tuple[bytes, bytes, RvaAdjustStats]:
-    """Numpy-accelerated variant with the robust acceptance rule.
-
-    One vector compare finds all difference positions; the (sparse)
-    positions are then resolved with the same candidate-window logic.
-    Equivalent output to :func:`adjust_rva_robust` — asserted by a
-    hypothesis property test — at a fraction of the Python-loop cost.
+    :func:`scan_slots` finds the slots; one fancy-indexed store per side
+    writes their RVAs.
     """
     if len(data1) != len(data2):
         raise ValueError("section copies differ in length")
-    out1, out2 = bytearray(data1), bytearray(data2)
-    stats = RvaAdjustStats()
-    if base1 == base2 or not data1:
-        return bytes(out1), bytes(out2), stats
+    if base1 == base2:
+        return bytes(data1), bytes(data2), RvaAdjustStats()
     limit = max_rva if max_rva is not None else max(len(data1) * 16, 1 << 20)
-
-    a1 = np.frombuffer(bytes(data1), dtype=np.uint8)
-    a2 = np.frombuffer(bytes(data2), dtype=np.uint8)
-    diffs = np.nonzero(a1 != a2)[0]
-    consumed_until = -1
-    for j in map(int, diffs):
-        if j <= consumed_until:
-            continue
-        stats.windows += 1
-        start = _try_window(out1, out2, j, base1, base2, limit)
-        if start is None:
-            stats.unresolved += 1
-        else:
-            stats.replaced += 1
-            consumed_until = start + 3
-    return bytes(out1), bytes(out2), stats
+    scan = scan_slots(data1, base1, data2, base2, limit)
+    hit = scan.start >= 0
+    slots, windows = scan.start[hit], len(scan.window)
+    index = slots[:, None] + _SLOT
+    # a later slot overlapping this one overwrites its tail, as in place
+    fresh = index < np.concatenate((slots[1:], (len(data1),)))[:, None]
+    value = scan.rva[hit].astype("<u4").view(np.uint8).reshape(-1, 4)
+    out1, out2 = (np.frombuffer(d, np.uint8).copy() for d in (data1, data2))
+    out1[index[fresh]] = out2[index[fresh]] = value[fresh]
+    return out1.tobytes(), out2.tobytes(), RvaAdjustStats(
+        replaced=len(slots), unresolved=windows - len(slots), windows=windows)
 
 
 #: Registry used by ModChecker's ``rva_mode`` option and the A3 ablation.
 ADJUSTERS = {
     "faithful": adjust_rva_faithful,
     "robust": adjust_rva_robust,
-    "vectorized": adjust_rva_vectorized,
 }

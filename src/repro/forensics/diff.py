@@ -17,8 +17,8 @@ every difference window:
 * **structural** — the region exists on only one side, or the two
   copies disagree on its size (e.g. an injected section).
 
-The scan mirrors :func:`repro.core.rva.adjust_rva_robust` exactly
-(candidate windows, rewrite-then-continue), so a clean pair at
+The hunks come from :func:`repro.core.rva.scan_slots`, the same kernel
+behind :func:`repro.core.rva.adjust_rva_robust`, so a clean pair at
 different bases yields *zero* tamper hunks — the invariant the
 clean-pool acceptance test pins down — and the per-region
 :class:`~repro.core.rva.RvaAdjustStats` agree with what the checker saw.
@@ -26,11 +26,10 @@ clean-pool acceptance test pins down — and the per-region
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from ..core.parser import ParsedModule
-from ..core.rva import RvaAdjustStats
+from ..core.rva import RvaAdjustStats, scan_slots
 
 __all__ = ["HUNK_BYTE_CAP", "DiffHunk", "RegionDiff", "diff_region_pair",
            "diff_modules"]
@@ -38,8 +37,6 @@ __all__ = ["HUNK_BYTE_CAP", "DiffHunk", "RegionDiff", "diff_region_pair",
 #: Per-hunk cap on captured before/after bytes, keeping bundles bounded
 #: even when an attacker rewrites a whole section.
 HUNK_BYTE_CAP = 64
-
-_U32 = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -137,27 +134,6 @@ class _HunkSink:
             self.dropped += 1
 
 
-def _try_slot(out_s: bytearray, out_r: bytearray, j: int, base_s: int,
-              base_r: int, limit: int) -> tuple[int, int] | None:
-    """Robust-rule candidate search around difference position ``j``.
-
-    Returns ``(slot_start, rva)`` and rewrites both buffers to the RVA
-    (exactly like the robust adjuster, so later scans see adjusted
-    content), or ``None`` when no candidate explains the difference.
-    """
-    n = len(out_s)
-    for start in range(max(0, j - 3), min(j, n - 4) + 1):
-        abs_s = _U32.unpack_from(out_s, start)[0]
-        abs_r = _U32.unpack_from(out_r, start)[0]
-        rva_s = (abs_s - base_s) & 0xFFFFFFFF
-        rva_r = (abs_r - base_r) & 0xFFFFFFFF
-        if rva_s == rva_r and rva_s < limit:
-            _U32.pack_into(out_s, start, rva_s)
-            _U32.pack_into(out_r, start, rva_r)
-            return start, rva_s
-    return None
-
-
 def _diff_raw(region: str, data_s: bytes, data_r: bytes,
               sink: _HunkSink) -> None:
     """Grouped plain byte diff — every difference is tamper."""
@@ -177,41 +153,36 @@ def _diff_raw(region: str, data_s: bytes, data_r: bytes,
 def _diff_relocatable(region: str, data_s: bytes, base_s: int,
                       data_r: bytes, base_r: int, limit: int,
                       sink: _HunkSink) -> RvaAdjustStats:
-    """Robust-reverser scan producing classified hunks + its counters."""
-    out_s, out_r = bytearray(data_s), bytearray(data_r)
-    stats = RvaAdjustStats()
-    tamper_start: int | None = None
+    """Robust-reverser scan producing classified hunks + its counters.
 
-    def flush_tamper(end: int) -> None:
-        nonlocal tamper_start
-        if tamper_start is not None:
-            sink.add(_make_hunk(region, tamper_start,
-                                data_s[tamper_start:end],
-                                data_r[tamper_start:end], "tamper"))
-            tamper_start = None
+    One relocation hunk per accepted slot; one tamper hunk per maximal
+    run of consecutive unresolved window positions, in scan order.
+    """
+    scan = scan_slots(data_s, base_s, data_r, base_r, limit)
+    stats = RvaAdjustStats(windows=int(scan.window.size))
+    run_start = run_end = -1             # current unresolved run
 
-    j, n = 0, len(out_s)
-    while j < n:
-        if out_s[j] == out_r[j]:
-            flush_tamper(j)
-            j += 1
+    def flush_tamper(start: int, end: int) -> None:
+        if start >= 0:
+            sink.add(_make_hunk(region, start, data_s[start:end],
+                                data_r[start:end], "tamper"))
+
+    for j, start, rva in zip(scan.window.tolist(), scan.start.tolist(),
+                             scan.rva.tolist()):
+        if start < 0 and j == run_end:
+            run_end = j + 1
             continue
-        stats.windows += 1
-        found = _try_slot(out_s, out_r, j, base_s, base_r, limit)
-        if found is None:
-            stats.unresolved += 1
-            if tamper_start is None:
-                tamper_start = j
-            j += 1
+        flush_tamper(run_start, run_end)
+        if start < 0:
+            run_start, run_end = j, j + 1
             continue
-        flush_tamper(j)
-        start, rva = found
+        run_start = run_end = -1
         stats.replaced += 1
         sink.add(_make_hunk(region, start, data_s[start:start + 4],
                             data_r[start:start + 4], "relocation",
                             rva=rva))
-        j = start + 4
-    flush_tamper(n)
+    flush_tamper(run_start, run_end)
+    stats.unresolved = stats.windows - stats.replaced
     return stats
 
 

@@ -18,9 +18,9 @@ class TestStageExperiment:
     def test_checker_kwargs_forwarded(self):
         scenario = stage_experiment("E1", n_vms=4,
                                     hash_algorithm="sha256",
-                                    rva_mode="vectorized")
+                                    rva_mode="robust")
         assert scenario.checker.checker.hash_algorithm == "sha256"
-        assert scenario.checker.checker.rva_mode == "vectorized"
+        assert scenario.checker.checker.rva_mode == "robust"
         assert not scenario.run_pool_check().report.all_clean
 
     def test_custom_victim(self):

@@ -37,7 +37,7 @@ class TestCleanSweep:
             for region, stats in pair.rva_stats.items():
                 assert stats.unresolved == 0, (pair.vm_a, pair.vm_b, region)
 
-    @pytest.mark.parametrize("mode", ["faithful", "robust", "vectorized"])
+    @pytest.mark.parametrize("mode", ["faithful", "robust"])
     def test_no_false_positives_any_mode(self, clean_testbed_session, mode):
         tb = clean_testbed_session
         mc = ModChecker(tb.hypervisor, tb.profile, rva_mode=mode)

@@ -50,7 +50,7 @@ class TestCheck:
         assert "sha256" in capsys.readouterr().out
 
     def test_rva_mode_option(self, capsys):
-        rc = main(["check", "--vms", "4", "--rva-mode", "vectorized"])
+        rc = main(["check", "--vms", "4", "--rva-mode", "faithful"])
         assert rc == 0
 
 
