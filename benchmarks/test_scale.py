@@ -14,13 +14,18 @@ single-round pedantic wall timings are noise-prone on shared CI
 runners, while the simulated metrics are a pure function of the seed,
 so the CI gate (``tools/check_bench_regression.py --fleet``) is
 deterministic. When ``FLEET_METRICS_OUT`` is set, the tier writes the
-metrics JSON the gate consumes.
+metrics JSON the gate consumes. Beside the gated ``metrics`` it records
+``host_cpu_s``: the process CPU seconds of the build and of each cycle,
+a trajectory for the tier's real cost. It is deliberately ungated (one
+run on a shared runner is noise) and sits outside ``metrics``, which is
+all the gate reads.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -82,13 +87,20 @@ def test_memory_footprint_stays_sparse(tb50):
 
 # -- the fleet tier ----------------------------------------------------------
 
-def _run_fleet(n_vms: int, cycles: int) -> Fleet:
+def _run_fleet(n_vms: int, cycles: int) -> tuple[Fleet, dict]:
+    """The fleet after ``cycles`` rounds, and the host CPU seconds of
+    its build and of each round."""
+    start = time.process_time()
     tb = build_fleet_testbed(n_vms, seed=SEED)
     fleet = Fleet(tb.hypervisor, shard_size=64, workers=32,
                   checker_kwargs={"event_driven": True,
                                   "flush_caches_each_round": False})
-    fleet.run(cycles)
-    return fleet
+    host_cpu = {"build": time.process_time() - start, "cycles": []}
+    for _ in range(cycles):
+        start = time.process_time()
+        fleet.run_cycle()
+        host_cpu["cycles"].append(time.process_time() - start)
+    return fleet, host_cpu
 
 
 @pytest.mark.fleet
@@ -99,7 +111,7 @@ def test_fleet_tier_10k_vms():
     run is a pure function of the seed; the only wall-clock cost is
     building and sweeping the substrate once.
     """
-    fleet = _run_fleet(FLEET_VMS, FLEET_CYCLES)
+    fleet, host_cpu = _run_fleet(FLEET_VMS, FLEET_CYCLES)
     stats = fleet.stats
 
     placed = sum(s.size for s in fleet.shards.values())
@@ -123,6 +135,7 @@ def test_fleet_tier_10k_vms():
                        "vms": FLEET_VMS, "cycles": FLEET_CYCLES,
                        "shards": len(fleet.shards),
                        "vm_checks_total": stats.vm_checks_total,
+                       "host_cpu_s": host_cpu,
                        "seed": SEED}, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -135,7 +148,7 @@ def test_fleet_metrics_deterministic():
     simulated, so any drift is a code change, never runner noise.
     """
     def observe() -> tuple:
-        fleet = _run_fleet(120, 3)
+        fleet, _ = _run_fleet(120, 3)
         return (fleet.stats.vm_checks_total,
                 fleet.stats.checks_per_sec,
                 fleet.stats.p99_cycle_seconds,

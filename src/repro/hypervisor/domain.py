@@ -67,12 +67,21 @@ class Domain:
     #: the epoch when they arm and compare before trusting silence: an
     #: epoch mismatch means "your traps were disarmed behind your back".
     protection_epoch: int = 0
+    #: Class-wide; bumped by every write to ``state``/``cpu_load``/``vcpus``
+    #: of any domain. Hypervisors key their cached contention factor on it
+    #: (another hypervisor's write only costs them a spurious recompute).
+    demand_version = 0
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("state", "cpu_load", "vcpus"):
+            if name == "cpu_load" and not 0 <= value <= 1:
+                raise ValueError("cpu_load must be in [0, 1]")
+            Domain.demand_version += 1
+        object.__setattr__(self, name, value)
 
     def __post_init__(self) -> None:
         if self.kind is DomainKind.DOMU and self.kernel is None:
             raise ValueError(f"DomU {self.name!r} needs a guest kernel")
-        if not 0 <= self.cpu_load <= 1:
-            raise ValueError("cpu_load must be in [0, 1]")
 
     @property
     def is_guest(self) -> bool:
@@ -110,8 +119,6 @@ class Domain:
                  disk: float | None = None) -> None:
         """Adjust the domain's resource demand (used by workloads)."""
         if cpu is not None:
-            if not 0 <= cpu <= 1:
-                raise ValueError("cpu_load must be in [0, 1]")
             self.cpu_load = cpu
         if mem is not None:
             self.mem_load = mem

@@ -19,8 +19,9 @@ can only learn what a real out-of-VM tool could.
 
 from __future__ import annotations
 
-import copy
 import hashlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,6 +53,8 @@ class Hypervisor:
         self._by_name: dict[str, int] = {}
         self._next_domid = 0
         self._snapshots: dict[int, dict] = {}
+        self._sinks: list[_ChargeSink] = []   # deferred_charges(), innermost last
+        self._factor, self._factor_version = 1.0, -1   # cached dom0_slowdown
         #: coalesced write traps raised by writes to protected frames
         self.traps = TrapQueue(capacity_per_vm=trap_capacity)
         #: max distinct protected frames per domain (None = unbounded);
@@ -77,6 +80,7 @@ class Hypervisor:
             raise DomainStateError(f"domain {domain.name!r} already exists")
         self._domains[domain.domid] = domain
         self._by_name[domain.name] = domain.domid
+        Domain.demand_version += 1
         return domain
 
     def create_guest(self, name: str,
@@ -182,6 +186,7 @@ class Hypervisor:
         self._drop_frame_protections(domain)
         del self._by_name[domain.name]
         del self._domains[domain.domid]
+        Domain.demand_version += 1
 
     # -- snapshots (paper §III-B discussion) ------------------------------------------
 
@@ -477,16 +482,26 @@ class Hypervisor:
 
         The work is stretched by the contention factor derived from the
         instantaneous guest load, then advanced on the simulated clock.
+        The factor is cached until :attr:`Domain.demand_version` moves.
+        Inside :meth:`deferred_charges` the innermost sink collects the
+        work instead and the clock stays put.
         """
         if cpu_seconds < 0:
             raise ValueError("negative work")
-        factor = self.scheduler.dom0_slowdown(self.guest_demand())
-        elapsed = cpu_seconds * factor
         self.dom0_cpu_seconds += cpu_seconds
+        if self._sinks:
+            self._sinks[-1].total += cpu_seconds
+            return 0.0
+        version = Domain.demand_version
+        if version != self._factor_version:
+            self._factor = self.scheduler.dom0_slowdown(self.guest_demand())
+            self._factor_version = version
+        elapsed = cpu_seconds * self._factor
         self.clock.advance(elapsed)
         return elapsed
 
-    def deferred_charges(self) -> "_DeferredCharges":
+    @contextmanager
+    def deferred_charges(self) -> Iterator[_ChargeSink]:
         """Collect Dom0 charges without advancing the clock.
 
         Used by ``ModChecker(workers>1)`` checks and fleet rounds:
@@ -494,40 +509,16 @@ class Hypervisor:
         advances the clock once with the makespan model
         (``scheduler.parallel_elapsed``). ``with hv.deferred_charges()
         as acc: ...; acc.total`` gives the raw CPU-seconds charged.
+        Contexts nest; inner totals do not roll into the outer one.
         """
-        return _DeferredCharges(self)
+        sink = _ChargeSink()
+        self._sinks.append(sink)
+        try:
+            yield sink
+        finally:
+            self._sinks.pop()
 
 
-class _DeferredCharges:
-    """Context manager that buffers charge_dom0 calls (see above)."""
-
-    _ABSENT = object()   # sentinel: no instance attr shadowed the method
-
-    def __init__(self, hypervisor: Hypervisor) -> None:
-        self.hv = hypervisor
-        self.total = 0.0
-        self._prev = self._ABSENT
-
-    def __enter__(self) -> "_DeferredCharges":
-        def collect(cpu_seconds: float) -> float:
-            if cpu_seconds < 0:
-                raise ValueError("negative work")
-            self.total += cpu_seconds
-            self.hv.dom0_cpu_seconds += cpu_seconds
-            return 0.0
-        # Shadow the bound method on the instance for the duration,
-        # saving whatever shadowed it before us (an outer deferred
-        # context, or nothing). Contexts therefore nest: each inner
-        # context collects into its own total and hands the previous
-        # collector back on exit. Inner totals do NOT roll into the
-        # outer context — the inner caller models its own elapsed time.
-        self._prev = self.hv.__dict__.get("charge_dom0", self._ABSENT)
-        self.hv.charge_dom0 = collect  # type: ignore[method-assign]
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._prev is self._ABSENT:
-            del self.hv.__dict__["charge_dom0"]
-        else:
-            self.hv.charge_dom0 = self._prev  # type: ignore[method-assign]
-        self._prev = self._ABSENT
+class _ChargeSink:
+    """Raw Dom0 CPU-seconds collected by one :meth:`deferred_charges`."""
+    total = 0.0

@@ -45,6 +45,24 @@ class TestScheduling:
         with pytest.raises(ValueError):
             d.set_load(cpu=-0.1)
 
+    def test_direct_out_of_range_load_rejected(self):
+        d = _guest_domain()
+        d.cpu_load = 0.4
+        with pytest.raises(ValueError, match="cpu_load"):
+            d.cpu_load = 1.5
+        assert d.cpu_load == 0.4
+
+    def test_demand_writes_bump_version(self):
+        d = _guest_domain()
+        for name, value in (("state", DomainState.PAUSED),
+                            ("cpu_load", 0.5), ("vcpus", 2)):
+            before = Domain.demand_version
+            setattr(d, name, value)
+            assert Domain.demand_version == before + 1
+        before = Domain.demand_version
+        d.mem_load = 0.9
+        assert Domain.demand_version == before
+
     def test_set_load_partial_update(self):
         d = _guest_domain()
         d.set_load(cpu=0.3)

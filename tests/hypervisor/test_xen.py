@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cloud import build_testbed
+from repro.core.modchecker import ModChecker
 from repro.errors import DomainNotFound, DomainStateError
 from repro.hypervisor.xen import Hypervisor
 
@@ -160,6 +162,61 @@ class TestDeferredCharges:
         assert hv.clock.now == t0
         hv.charge_dom0(0.5)  # normal charging restored
         assert hv.clock.now > t0
+
+
+class TestChargeCache:
+    """``charge_dom0`` re-derives the contention factor only when a
+    demand field or the guest set changed (see test_charge_cache.py for
+    the differential check of the factor itself)."""
+
+    @pytest.fixture
+    def demand_calls(self, monkeypatch):
+        calls = []
+        orig = Hypervisor.guest_demand
+
+        def counted(self):
+            calls.append(1)
+            return orig(self)
+
+        monkeypatch.setattr(Hypervisor, "guest_demand", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        tb = build_testbed(15, seed=42)
+        tb.set_guest_loads(0.5)
+        return tb, ModChecker(tb.hypervisor, tb.profile)
+
+    def test_static_pool_check_derives_factor_at_most_once(
+            self, pool, demand_calls):
+        _, checker = pool
+        checker.check_pool("hal.dll", mode="canonical")
+        assert len(demand_calls) <= 1
+
+    def test_one_load_change_costs_one_recompute(self, pool, demand_calls):
+        tb, checker = pool
+        checker.check_pool("ntoskrnl.exe", mode="canonical")
+        before = len(demand_calls)
+        tb.guest("Dom4").set_load(cpu=1.0)
+        checker.check_pool("ntoskrnl.exe", mode="canonical")
+        assert len(demand_calls) == before + 1
+
+    def test_class_level_hook_sees_deferred_charges(self, hv, monkeypatch):
+        # installed the way bench/tracing.py installs its hooks
+        seen = []
+        orig = Hypervisor.__dict__["charge_dom0"]
+
+        def hooked(self, cpu_seconds):
+            seen.append(cpu_seconds)
+            return orig(self, cpu_seconds)
+
+        monkeypatch.setattr(Hypervisor, "charge_dom0", hooked)
+        with hv.deferred_charges() as outer:
+            hv.charge_dom0(1.0)
+            with hv.deferred_charges() as inner:
+                hv.charge_dom0(2.0)
+        assert seen == [1.0, 2.0]
+        assert (outer.total, inner.total) == (1.0, 2.0)
 
 
 class TestSnapshots:
