@@ -419,11 +419,9 @@ def _incremental_kwargs(args) -> dict:
     ttl = getattr(args, "recheck_ttl", None)
     if ttl is not None and ttl <= 0:
         raise SystemExit(f"error: --recheck-ttl must be > 0, got {ttl}")
-    event_driven = getattr(args, "event_driven", False)
-    return {"incremental": getattr(args, "incremental", False)
-            or event_driven,
+    return {"incremental": getattr(args, "incremental", False),
             "recheck_ttl": ttl,
-            "event_driven": event_driven}
+            "event_driven": getattr(args, "event_driven", False)}
 
 
 def _batch_kwargs(args) -> dict:

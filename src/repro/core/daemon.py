@@ -536,8 +536,7 @@ class CheckDaemon:
                 modules = self._discover_modules(active)
                 schedule = self.policy.select(self.cycles_run, modules,
                                               self.log)
-                if self.trap_priority \
-                        and getattr(self.checker, "event_driven", False):
+                if self.trap_priority:
                     # Trap subscription: modules whose protected pages
                     # were written get re-checked this cycle, ahead of
                     # the rotation, instead of waiting their turn.

@@ -363,15 +363,15 @@ class ModChecker:
         """
         removed = self.manifests.invalidate(vm_name, module_name,
                                             reason=reason)
-        if self.event_driven:
-            # Protections exist to keep a manifest honest; a manifest
-            # that no longer exists must not keep frames protected (and
-            # a protection may outlive its manifest, e.g. LRU eviction,
-            # so this does not condition on ``removed``).
-            for key in [k for k in self._protections
-                        if (vm_name is None or k[0] == vm_name)
-                        and (module_name is None or k[1] == module_name)]:
-                self._drop_protection(*key)
+        # Protections exist to keep a manifest honest; a manifest that
+        # no longer exists must not keep frames protected (and a
+        # protection may outlive its manifest, e.g. LRU eviction, so
+        # this does not condition on ``removed``). Only event-driven
+        # mode ever arms one.
+        for key in [k for k in self._protections
+                    if (vm_name is None or k[0] == vm_name)
+                    and (module_name is None or k[1] == module_name)]:
+            self._drop_protection(*key)
         if removed:
             events = self.obs.events
             if events.enabled:
@@ -382,44 +382,55 @@ class ModChecker:
 
     def _try_manifest(self, vmi: VMIInstance, searcher: ModuleSearcher,
                       module_name: str) -> ParsedModule | None:
-        """The incremental fast path for one VM, or None for full work.
+        """The cached fast path for one VM, or None for full work.
 
-        Three gates, cheapest first: a structurally valid manifest
-        (generation + TTL, free), the LDR entry still in place (six
-        u32 reads), and the per-page checksum sweep (every page is
-        still observed every round — the sweep is how tampering is
-        caught; what it skips is the copy/parse/compare machinery, not
-        the looking). Any mismatch invalidates and reports None, and
-        the caller runs the full pipeline in the same round.
-
-        In event-driven mode the second and third gates are replaced by
-        the trap protocol (:meth:`_try_manifest_event`): the looking is
-        delegated to write traps, so an unchanged module costs one
-        empty ring drain instead of an O(pages) sweep.
+        One validator serves both cached modes. A structurally valid
+        manifest (generation + TTL, free) is the entry ticket. Then
+        either the trap path validates it from write-trap evidence —
+        when an armed protection's silence can be trusted — or the
+        sweep gate does: the LDR entry still in place (six u32 reads)
+        and the per-page checksum sweep (every page is observed; what
+        the sweep skips is the copy/parse/compare machinery, not the
+        looking). A passing sweep arms a protection in event-driven
+        mode, or clears the flags of the one that forced the re-sweep.
+        Incremental mode is this validator with arming off: nothing is
+        ever armed, so every validation sweeps. Any mismatch
+        invalidates and reports None, and the caller runs the full
+        pipeline in the same round.
         """
         vm_name = vmi.domain.name
         manifest = self.manifests.lookup(
             vm_name, module_name,
             boot_generation=vmi.boot_generation, now=self.hv.clock.now)
+        rec = self._live_protection(vmi, module_name, manifest)
         if manifest is None:
-            if self.event_driven:
-                # generation/TTL/eviction miss: whatever was armed no
-                # longer matches anything we can validate against
-                self._drop_protection(vm_name, module_name)
             return None
-        if self.event_driven:
-            return self._try_manifest_event(vmi, searcher, module_name,
-                                            manifest)
-        if not self._verify_entry(vmi, searcher, module_name, manifest):
+        if rec is not None:
+            rec.validations += 1
+            paranoia_due = bool(self.paranoia_every) \
+                and rec.validations % self.paranoia_every == 0
+            if not (rec.overflowed or paranoia_due):
+                return self._trap_validate(vmi, searcher, module_name,
+                                           manifest, rec)
+            self._fallback(vm_name, module_name,
+                           "exhausted" if rec.overflowed else "paranoia")
+        if not (self._verify_entry(vmi, searcher, module_name, manifest)
+                and self._pages_match(vmi, module_name, manifest)):
             return None
-        if not self._sweep_matches(vmi, module_name, manifest):
-            return None
+        if rec is not None:
+            if rec.guard_dirty:
+                self._refresh_guards(vmi, rec, manifest)
+            rec.overflowed = False
+            rec.guard_dirty = False
+            rec.dirty_pages.clear()
+        elif self.event_driven:
+            self._arm_protection(vmi, module_name, manifest)
         return self._manifest_hit(vmi, module_name, manifest,
                                   pages=len(manifest.page_digests))
 
     def _verify_entry(self, vmi: VMIInstance, searcher: ModuleSearcher,
                       module_name: str, manifest: CheckManifest) -> bool:
-        """Gate 2: the LDR entry still describes the same mapping."""
+        """The LDR entry still describes the same mapping."""
         if not searcher.verify_cached_entry(manifest.ldr_entry_va,
                                             dll_base=manifest.base,
                                             size_of_image=manifest.size):
@@ -428,26 +439,30 @@ class ModChecker:
             return False
         return True
 
-    def _sweep_matches(self, vmi: VMIInstance, module_name: str,
-                       manifest: CheckManifest) -> bool:
-        """Gate 3: the full per-page checksum sweep."""
-        vm_name = vmi.domain.name
+    def _pages_match(self, vmi: VMIInstance, module_name: str,
+                     manifest: CheckManifest,
+                     pages: set[int] | None = None) -> bool:
+        """Re-digest ``pages`` (default: the full sweep) and compare."""
         try:
-            digests = vmi.checksum_va_range(manifest.base, manifest.size)
+            if pages is None:
+                matched = vmi.checksum_va_range(
+                    manifest.base, manifest.size) == manifest.page_digests
+            else:
+                digests = vmi.checksum_pages(manifest.base, manifest.size,
+                                             pages)
+                matched = all(digest == manifest.page_digests[idx]
+                              for idx, digest in digests.items())
         except (TransientFault, RetryExhausted):
             raise       # sick VM: the caller degrades it
         except IntrospectionFault:
             # a page of the recorded range no longer translates — a
             # content change as far as the manifest is concerned; fall
             # back to the full walk, which sees the current truth
-            self.invalidate_manifests(vm_name, module_name,
+            matched = False
+        if not matched:
+            self.invalidate_manifests(vmi.domain.name, module_name,
                                       reason="page-delta")
-            return False
-        if digests != manifest.page_digests:
-            self.invalidate_manifests(vm_name, module_name,
-                                      reason="page-delta")
-            return False
-        return True
+        return matched
 
     def _manifest_hit(self, vmi: VMIInstance, module_name: str,
                       manifest: CheckManifest, *,
@@ -467,62 +482,50 @@ class ModChecker:
 
     # -- event-driven mode (write-protection traps) ----------------------------
 
-    def _try_manifest_event(self, vmi: VMIInstance,
-                            searcher: ModuleSearcher, module_name: str,
-                            manifest: CheckManifest,
-                            ) -> ParsedModule | None:
-        """Validate a manifest from trap evidence instead of a sweep.
+    def _live_protection(self, vmi: VMIInstance, module_name: str,
+                         manifest: CheckManifest | None,
+                         ) -> _Protection | None:
+        """The armed protection still vouching for ``manifest``, if any.
 
-        Steady state — armed protection, empty ring — costs a single
-        drain. Traps narrow the work: a guard trap re-runs the LDR
-        entry verify, an image trap re-digests exactly the written
-        pages. The full sweep remains the fallback whenever silence is
-        not trustworthy (ring overflow, a lifecycle protection drop,
-        the periodic paranoia re-sweep) and for pages that could never
-        be armed; fallbacks emit ``trap.fallback`` with the reason.
+        Always None outside event-driven mode. Inside it, drains the
+        VM's trap ring into the protections first, then drops a record
+        armed against a different incarnation of the manifest or one a
+        lifecycle event disarmed behind our back (a ``lifecycle``
+        fallback: traps could not have fired, so its silence means
+        nothing). A manifest miss drops the record without a drain.
         """
+        if not self.event_driven:
+            return None
         vm_name = vmi.domain.name
-        self._route_traps(vmi)
-        rec = self._protections.get((vm_name, module_name))
-        if rec is not None and (rec.boot_generation
-                                != manifest.boot_generation
-                                or rec.base != manifest.base
-                                or rec.size != manifest.size):
-            # armed against a different incarnation of the manifest
+        if manifest is None:
+            # generation/TTL/eviction miss: whatever was armed no
+            # longer matches anything we can validate against
             self._drop_protection(vm_name, module_name)
-            rec = None
-        if rec is not None and rec.epoch != vmi.domain.protection_epoch:
-            # reboot/migrate-finish disarmed everything behind our
-            # back; traps could not have fired, so silence means nothing
+            return None
+        self.route_drained_traps(vm_name, *vmi.drain_traps())
+        rec = self._protections.get((vm_name, module_name))
+        if rec is None:
+            return None
+        if (rec.boot_generation != manifest.boot_generation
+                or rec.base != manifest.base or rec.size != manifest.size):
+            self._drop_protection(vm_name, module_name)
+            return None
+        if rec.epoch != vmi.domain.protection_epoch:
             self._fallback(vm_name, module_name, "lifecycle")
             self._drop_protection(vm_name, module_name)
-            rec = None
-        if rec is None:
-            # nothing armed: classic gates now, arm on success
-            if not self._verify_entry(vmi, searcher, module_name, manifest):
-                return None
-            if not self._sweep_matches(vmi, module_name, manifest):
-                return None
-            self._arm_protection(vmi, module_name, manifest)
-            return self._manifest_hit(vmi, module_name, manifest,
-                                      pages=len(manifest.page_digests))
-        rec.validations += 1
-        paranoia_due = bool(self.paranoia_every) \
-            and rec.validations % self.paranoia_every == 0
-        if rec.overflowed or paranoia_due:
-            self._fallback(vm_name, module_name,
-                           "exhausted" if rec.overflowed else "paranoia")
-            if not self._verify_entry(vmi, searcher, module_name, manifest):
-                return None
-            if not self._sweep_matches(vmi, module_name, manifest):
-                return None
-            if rec.guard_dirty:
-                self._refresh_guards(vmi, rec, manifest)
-            rec.overflowed = False
-            rec.guard_dirty = False
-            rec.dirty_pages.clear()
-            return self._manifest_hit(vmi, module_name, manifest,
-                                      pages=len(manifest.page_digests))
+            return None
+        return rec
+
+    def _trap_validate(self, vmi: VMIInstance, searcher: ModuleSearcher,
+                       module_name: str, manifest: CheckManifest,
+                       rec: _Protection) -> ParsedModule | None:
+        """Validate from trap evidence: O(writes) instead of O(pages).
+
+        A clean ring costs nothing beyond the drain. A guard trap
+        re-runs the LDR entry verify; image traps re-digest exactly the
+        written pages, plus any page that could never be armed
+        (``unprotectable`` fallback).
+        """
         if rec.guard_dirty:
             # someone wrote near the LDR node: re-run the entry verify
             # and re-derive the guards (the neighbours may have moved)
@@ -531,49 +534,29 @@ class ModChecker:
             self._refresh_guards(vmi, rec, manifest)
             rec.guard_dirty = False
         pages = rec.dirty_pages | set(rec.unprotected)
-        checked = 0
         if pages:
             if rec.unprotected:
-                self._fallback(vm_name, module_name, "unprotectable")
-            try:
-                digests = vmi.checksum_pages(manifest.base, manifest.size,
-                                             pages)
-            except (TransientFault, RetryExhausted):
-                raise   # sick VM: the caller degrades it
-            except IntrospectionFault:
-                self.invalidate_manifests(vm_name, module_name,
-                                          reason="page-delta")
+                self._fallback(vmi.domain.name, module_name,
+                               "unprotectable")
+            if not self._pages_match(vmi, module_name, manifest, pages):
                 return None
-            for idx, digest in digests.items():
-                if digest != manifest.page_digests[idx]:
-                    self.invalidate_manifests(vm_name, module_name,
-                                              reason="page-delta")
-                    return None
-            checked = len(digests)
-            self.trap_pages_checked += checked
+            self.trap_pages_checked += len(pages)
             rec.dirty_pages.clear()
         self.trap_validations += 1
         return self._manifest_hit(vmi, module_name, manifest,
-                                  pages=checked)
-
-    def _route_traps(self, vmi: VMIInstance) -> None:
-        """Drain one VM's trap ring and mark every affected protection.
-
-        Routing, not consumption: a guard page may back the LDR nodes
-        of several modules and an overflow taints every protection on
-        the VM, so each drained trap updates *all* matching records.
-        """
-        traps, overflowed = vmi.drain_traps()
-        self.route_drained_traps(vmi.domain.name, traps, overflowed)
+                                  pages=len(pages))
 
     def route_drained_traps(self, vm_name: str, traps, overflowed: bool,
                             ) -> None:
-        """Route traps a caller already drained into the protections.
+        """Route one drained trap ring into every affected protection.
 
-        The repair engine drains the ring itself (it needs the trap
-        list to count writes racing its armed window) and hands the
-        drain here so other modules' protections on the same VM still
-        observe those writes.
+        Callers pass ``*vmi.drain_traps()``. Routing, not consumption:
+        a guard page may back the LDR nodes of several modules and an
+        overflow taints every protection on the VM, so each drained
+        trap updates *all* matching records. The repair engine drains
+        the ring itself (it needs the trap list to count writes racing
+        its armed window) and hands the drain here so other modules'
+        protections on the same VM still observe those writes.
         """
         if not traps and not overflowed:
             return
@@ -700,9 +683,10 @@ class ModChecker:
             if self.hv.traps.pending(vm_name) == 0:
                 continue
             try:
-                self._route_traps(self.vmi_for(vm_name))
+                vmi = self.vmi_for(vm_name)
             except VMIInitError:
                 continue    # vanished domain: membership will reconcile
+            self.route_drained_traps(vm_name, *vmi.drain_traps())
         return sorted({module for (vm, module), rec
                        in self._protections.items()
                        if vm in eligible

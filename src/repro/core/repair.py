@@ -445,7 +445,7 @@ class RepairEngine:
         vmi = checker.vmi_for(vm_name)
         # Route anything already pending so pre-window guest writes are
         # not charged to the repair race.
-        checker._route_traps(vmi)
+        checker.route_drained_traps(vm_name, *vmi.drain_traps())
         gfns = [g for g in vmi.protect_va_range(base, len(recon))
                 if g is not None]
         armed = set(gfns)

@@ -186,6 +186,35 @@ class TestFallbacks:
         assert rec.epoch == tb.hypervisor.domain(vm).protection_epoch
         assert tb.hypervisor.domain(vm).protected_frames
 
+    @pytest.mark.parametrize("mode", ["full", "incremental", "event"])
+    def test_migration_blackout_is_a_mode_difference(self, mode):
+        """A documented divergence between the pipeline modes.
+
+        ``migrate_start`` puts a guest in a read blackout but leaves its
+        protections armed (they drop only at ``migrate_finish``). Full
+        and incremental mode must read the guest, exhaust the retry
+        budget and degrade it; event-driven mode serves the manifest
+        from trap silence without a read, so the migrating guest keeps
+        voting.
+        """
+        tb = build_testbed(5, seed=0)
+        mc = ModChecker(tb.hypervisor, tb.profile,
+                        incremental=mode == "incremental",
+                        event_driven=mode == "event")
+        mc.check_pool(MODULE)
+        mc.check_pool(MODULE)
+        tb.hypervisor.migrate_start("Dom3")
+        report = mc.check_pool(MODULE).report
+        assert report.all_clean
+        if mode == "event":
+            assert report.degraded == {}
+            assert "Dom3" in report.verdicts
+            assert mc.trap_validations == 2 * 5     # warm round + this one
+        else:
+            assert list(report.degraded) == ["Dom3"]
+            assert report.degraded["Dom3"].startswith("retry-exhausted:")
+            assert "Dom3" not in report.verdicts
+
     def test_reboot_drops_protection_with_manifest(self, warm):
         tb, mc = warm
         vm = tb.vm_names[0]

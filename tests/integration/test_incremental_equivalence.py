@@ -7,8 +7,10 @@ event for event on the verdict-bearing vocabulary (``check.start``,
 ``check.verdict``, ``pair.compared``, ``alert.raised``) and alert for
 alert (times excluded: the modes advance the simulated clock
 differently, which is the entire point of the optimisation). The same
-holds across the batch/scalar acquisition arms and across
-``workers=1``/``workers=4`` (the modelled parallel clock).
+holds under the canonical pool vote, across the batch/scalar
+acquisition arms and across ``workers=1``/``workers=4`` (the modelled
+parallel clock). Times and the ``manifest.*``/``trap.*`` events are
+pinned separately, per mode, by ``tests/core/test_pipeline_modes.py``.
 
 The event-driven arms run the daemon with ``trap_priority=False``:
 trap-ahead scheduling deliberately *reorders* checks, which changes
@@ -24,6 +26,8 @@ performs different read sequences than the full path, so the fault
 modes. Fault-handling equivalence is covered by the invalidation unit
 tests in ``tests/core/test_incremental.py`` instead.
 """
+
+import re
 
 import pytest
 
@@ -48,7 +52,7 @@ def _run(seed: int, *, incremental: bool, event_driven: bool = False,
          cycles: int = 8, churn_rate: float = 0.35,
          infected: dict | None = None, tamper_at: int | None = None,
          trap_priority: bool = False, batch: bool = True,
-         workers: int = 1):
+         workers: int = 1, pool_mode: str = "pairwise"):
     """One seeded daemon soak; returns (events, alerts, chaos kinds)."""
     tb = build_testbed(5, seed=seed, infected=infected)
     obs = make_observability(tb.clock)
@@ -58,7 +62,8 @@ def _run(seed: int, *, incremental: bool, event_driven: bool = False,
     engine = ChaosEngine(tb.hypervisor,
                          ChaosConfig.from_churn_rate(churn_rate),
                          seed=seed, catalog=tb.catalog)
-    daemon = CheckDaemon(mc, chaos=engine, trap_priority=trap_priority)
+    daemon = CheckDaemon(mc, chaos=engine, trap_priority=trap_priority,
+                         pool_mode=pool_mode)
     for cycle in range(cycles):
         if tamper_at is not None and cycle == tamper_at:
             RuntimeCodePatchAttack().apply(
@@ -71,6 +76,15 @@ def _run(seed: int, *, incremental: bool, event_driven: bool = False,
               for a in daemon.log.alerts]
     kinds = {e.attrs["kind"] for e in obs.events.by_name("chaos.applied")}
     return stream, alerts, kinds
+
+
+#: the failing read's address inside a ``retry-exhausted:`` reason
+_READ_VA = re.compile(r"VA page 0x[0-9a-f]+")
+
+
+def _mask_read_va(run) -> str:
+    """A run's verdict stream and alerts with read addresses masked."""
+    return _READ_VA.sub("VA page <va>", repr(run[:2]))
 
 
 class TestChurnEquivalence:
@@ -87,6 +101,21 @@ class TestChurnEquivalence:
         trap = _run(seed, incremental=True, event_driven=True)
         assert trap[0] == full[0]
         assert trap[1] == full[1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_incremental_identical_at_low_churn(self, seed):
+        # At churn 0.2 some seeds (2 here) check a guest mid-migration.
+        # Full and incremental both degrade it ``retry-exhausted:``,
+        # but the sweep's first failing read is a different page from
+        # the walk's, so only the VA inside the reason differs; it is
+        # masked. The trap arm is left out on purpose: it serves a
+        # migrating guest's manifest from trap silence and keeps it
+        # voting (seed 2 raises no degraded alert at all) — see
+        # test_event_driven.py::TestFallbacks::
+        # test_migration_blackout_is_a_mode_difference.
+        full = _run(seed, incremental=False, churn_rate=0.2)
+        fast = _run(seed, incremental=True, churn_rate=0.2)
+        assert _mask_read_va(fast) == _mask_read_va(full)
 
     def test_seed_set_exercises_reboot_and_migration(self):
         """The metamorphic claim is vacuous if no seed ever reboots or
@@ -131,6 +160,31 @@ class TestTamperEquivalence:
         assert trap[0] == full[0]
         assert trap[1] == full[1]
         assert any("Dom2" in a[1] for a in fast[1])
+
+
+class TestCanonicalEquivalence:
+    """The canonical (O(t)) pool vote gives the same verdict stream in
+    every pipeline mode, as the pairwise vote does."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_verdict_stream_identical_under_churn(self, seed):
+        full = _run(seed, incremental=False, pool_mode="canonical")
+        fast = _run(seed, incremental=True, pool_mode="canonical")
+        trap = _run(seed, incremental=True, event_driven=True,
+                    pool_mode="canonical")
+        assert fast[:2] == full[:2]
+        assert trap[:2] == full[:2]
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_midstream_tamper(self, seed):
+        kwargs = {"churn_rate": 0.0, "tamper_at": 4,
+                  "pool_mode": "canonical"}
+        full = _run(seed, incremental=False, **kwargs)
+        fast = _run(seed, incremental=True, **kwargs)
+        trap = _run(seed, incremental=True, event_driven=True, **kwargs)
+        assert fast[:2] == full[:2]
+        assert trap[:2] == full[:2]
+        assert any("Dom2" in a[1] for a in full[1])
 
 
 class TestBatchEquivalence:
