@@ -44,8 +44,10 @@ re-admitted to the checking rotation, preserving their breaker state.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..core.daemon import Alert, CheckDaemon, RoundRobinPolicy
 from ..core.health import BreakerConfig
@@ -54,9 +56,15 @@ from ..errors import InsufficientPool
 from ..guest.catalog import build_catalog
 from ..hypervisor.scheduler import CpuModel
 from ..hypervisor.xen import Hypervisor
-from ..obs import NULL_OBS, Observability, record_fleet_cycle
+from ..obs import (NULL_OBS, Observability, record_fleet_cycle,
+                   record_manifest_stats, record_repair_stats,
+                   record_trap_stats)
 from ..pe.builder import DriverBlueprint
+from ..vmi.cache import ManifestStats
 from ..vmi.symbols import OSProfile
+
+if TYPE_CHECKING:
+    from ..core.repair import RepairStats
 
 __all__ = ["ShardKey", "shard_key_for", "Shard", "Fleet", "FleetStats",
            "FleetCycleReport", "FleetTestbed", "build_fleet_testbed",
@@ -154,6 +162,37 @@ class FleetStats:
         return ordered[index]
 
 
+@dataclass
+class _CheckerTotals:
+    """Shard checkers' cumulative manifest, trap and repair counters.
+
+    Scoped checkers leave these series to the fleet, which publishes
+    this sum: retired shards folded in, live shards added at publish.
+    """
+
+    manifests: ManifestStats = field(default_factory=ManifestStats)
+    pair_replays: int = 0
+    trap_validations: int = 0
+    trap_pages_checked: int = 0
+    trap_fallbacks: dict[str, int] = field(default_factory=dict)
+    #: None until a shard with a repair engine is added (importing
+    #: the repair module here would pull in forensics on import)
+    repair: "RepairStats | None" = None
+
+    def add(self, mc: ModChecker) -> None:
+        self.manifests.merge(mc.manifests.stats)
+        self.pair_replays += mc.pair_replays
+        self.trap_validations += mc.trap_validations
+        self.trap_pages_checked += mc.trap_pages_checked
+        for reason, count in mc.trap_fallbacks.items():
+            self.trap_fallbacks[reason] = \
+                self.trap_fallbacks.get(reason, 0) + count
+        if mc.repair is not None:
+            if self.repair is None:
+                self.repair = type(mc.repair.stats)()
+            self.repair.merge(mc.repair.stats)
+
+
 @dataclass(frozen=True)
 class FleetCycleReport:
     """What one fleet round did, for callers and the CLI."""
@@ -242,6 +281,7 @@ class Fleet:
                          "repairs_verified": 0, "repairs_failed": 0,
                          "repairs_quarantined": 0}
         self._retired_membership: dict[str, int] = {}
+        self._retired_checkers = _CheckerTotals()
         self.reconcile()
 
     # -- placement -----------------------------------------------------------
@@ -299,6 +339,7 @@ class Fleet:
         for _, event, _ in shard.daemon.membership_log:
             self._retired_membership[event] = \
                 self._retired_membership.get(event, 0) + 1
+        self._retired_checkers.add(shard.checker)
 
     def _place(self, vm: str, domain) -> Shard:
         key = shard_key_for(domain)
@@ -399,6 +440,34 @@ class Fleet:
                 membership[event] = membership.get(event, 0) + 1
         self.stats.membership_events = membership
 
+    def _record_checker_totals(self) -> None:
+        """Publish the shard checkers' manifest, trap and repair series
+        as fleet-wide sums (see :class:`_CheckerTotals`)."""
+        live = [s.checker for s in self._shards_sorted()]
+        if not live:
+            return
+        totals = copy.deepcopy(self._retired_checkers)
+        for mc in live:
+            totals.add(mc)
+        metrics = self.obs.metrics
+        # every shard checker is built from the same checker_kwargs
+        probe = live[0]
+        if probe.incremental:
+            record_manifest_stats(
+                metrics, totals.manifests,
+                entries=sum(len(mc.manifests) for mc in live),
+                pair_replays=totals.pair_replays)
+        if probe.repair is not None:
+            record_repair_stats(metrics, totals.repair)
+        if probe.event_driven:
+            record_trap_stats(
+                metrics, self.hv.traps.stats,
+                validations=totals.trap_validations,
+                pages_checked=totals.trap_pages_checked,
+                fallbacks=totals.trap_fallbacks,
+                protected_frames=sum(len(d.protected_frames)
+                                     for d in self.hv.guests()))
+
     def run_cycle(self) -> FleetCycleReport:
         """One fleet round: churn, placement, concurrent shard cycles.
 
@@ -489,6 +558,7 @@ class Fleet:
                 self.obs.metrics, self.stats,
                 shard_sizes={s.name: s.size for s in admitted},
                 cycle_seconds=span)
+            self._record_checker_totals()
         self.cycles_run += 1
         return report
 

@@ -15,7 +15,7 @@ differences mismatch trivially via the hash.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..obs import NULL_OBS, Observability
 from ..perf.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -23,7 +23,8 @@ from .parser import ParsedModule
 from .report import PairComparison, PoolReport, VMCheckReport, VMVerdict
 from .rva import ADJUSTERS, RvaAdjustStats
 
-__all__ = ["IntegrityChecker", "md5_hex", "SUPPORTED_HASHES"]
+__all__ = ["IntegrityChecker", "CanonicalRecord", "md5_hex",
+           "SUPPORTED_HASHES"]
 
 #: Digests the checker accepts. The paper uses MD5 (OpenSSL); MD5 is
 #: collision-broken today, so deployments should prefer SHA-256 — the
@@ -38,6 +39,25 @@ def md5_hex(data: bytes) -> str:
 
 def _no_charge(_seconds: float) -> None:
     """Default charge hook: free checking (unit tests, offline use)."""
+
+
+def _keep_none(_region: str) -> bool:
+    return False
+
+
+class CanonicalRecord(NamedTuple):
+    """One member's step of a canonical vote: digests, never bytes.
+
+    ``vector`` is the member's sorted ``(region, digest)`` vector, its
+    code regions RVA-adjusted against the counterpart; ``ref_digests``
+    maps code regions the pair adjusted to the digest of the
+    *counterpart's* adjusted bytes (those the step was asked to keep);
+    ``cost`` is the simulated Dom0 charge the step made.
+    """
+
+    vector: tuple
+    ref_digests: dict[str, str]
+    cost: float
 
 
 class IntegrityChecker:
@@ -131,7 +151,64 @@ class IntegrityChecker:
             module_name=target.module_name, target_vm=target.vm_name,
             pairs=pairs, matches=matches, comparisons=len(pairs))
 
-    def check_pool_canonical(self, modules: list[ParsedModule]) -> PoolReport:
+    def _region_vector(self, mod: ParsedModule,
+                       adjusted: dict[str, str]) -> tuple:
+        """``mod``'s sorted ``(region, digest)`` vector: header regions
+        raw, code regions from ``adjusted`` where the pair adjusted them."""
+        items = [(region.name, self.digest(mod.region_bytes(region)))
+                 for region in mod.header_regions]
+        for region in mod.code_regions:
+            digest = adjusted.get(region.name)
+            if digest is None:
+                digest = self.digest(mod.region_bytes(region))
+            items.append((region.name, digest))
+        return tuple(sorted(items))
+
+    def canonical_member(self, mod: ParsedModule,
+                         counterpart: ParsedModule | None,
+                         want_ref: Callable[[str], bool] | None = None,
+                         ) -> CanonicalRecord:
+        """One member's step of :meth:`check_pool_canonical`.
+
+        RVA-adjusts each of ``mod``'s code regions against the same
+        region of ``counterpart`` (None: nothing to adjust against),
+        charges the pair's cost once, and returns digests only. The
+        counterpart's adjusted digest is kept for each region where
+        ``want_ref(region)`` holds, or for every region when
+        ``want_ref`` is None (first occurrence wins). The record
+        is a pure function of both copies' bytes and bases, which is
+        what lets ``ModChecker`` replay it while both content keys hold.
+        """
+        adjusted: dict[str, str] = {}
+        ref_digests: dict[str, str] = {}
+        cost = self.costs.compare_per_pair
+        code_ref = ({r.name: r for r in counterpart.code_regions}
+                    if counterpart is not None else {})
+        for region in mod.code_regions:
+            ref_region = code_ref.get(region.name)
+            if ref_region is None:
+                continue
+            data_ref = counterpart.region_bytes(ref_region)
+            data_mod = mod.region_bytes(region)
+            if len(data_ref) != len(data_mod):
+                continue
+            adj_ref, adj_mod, _stats = self._adjust(
+                data_ref, counterpart.base, data_mod, mod.base,
+                max_rva=max(len(counterpart.image), len(mod.image)))
+            adjusted[region.name] = self.digest(adj_mod)
+            if region.name not in ref_digests and (
+                    want_ref is None or want_ref(region.name)):
+                ref_digests[region.name] = self.digest(adj_ref)
+            cost += 2 * len(data_mod) * (self.costs.rva_scan_per_byte
+                                         + self.costs.hash_per_byte)
+        self._charge(cost)
+        return CanonicalRecord(self._region_vector(mod, adjusted),
+                               ref_digests, cost)
+
+    def check_pool_canonical(
+            self, modules: list[ParsedModule], *,
+            member_step: Callable[..., CanonicalRecord] | None = None,
+    ) -> PoolReport:
         """O(t) pool check via canonicalisation (vs O(t²) pairwise).
 
         The paper's checker compares every pair. But RVA adjustment of
@@ -156,56 +233,37 @@ class IntegrityChecker:
         canonical bytes either way; only when every copy shares one
         base is no adjustment possible, and then raw digests cluster
         correctly on their own.
+
+        Each member is one :meth:`canonical_member` step; a caller that
+        can replay steps passes its own ``member_step`` with the same
+        signature.
         """
         if not modules:
             return PoolReport(module_name="", vm_names=[], pairs=[],
                               verdicts={})
+        step = member_step or self.canonical_member
         reference = modules[0]
         partner = next((m for m in modules[1:] if m.base != reference.base),
                        None)
         names = [m.vm_name for m in modules]
 
-        def region_vector(mod: ParsedModule, adjusted: dict[str, bytes],
-                          ) -> tuple:
-            items = []
-            for region in mod.header_regions:
-                items.append((region.name,
-                              self.digest(mod.region_bytes(region))))
-            for region in mod.code_regions:
-                data = adjusted.get(region.name,
-                                    mod.region_bytes(region))
-                items.append((region.name, self.digest(data)))
-            return tuple(sorted(items))
-
         vectors: dict[str, tuple] = {}
         pairs: list[PairComparison] = []
-        ref_adjusted: dict[str, bytes] = {}
+        ref_digests: dict[str, str] = {}
+
+        def ref_missing(region: str) -> bool:
+            return region not in ref_digests
+
         for mod in modules[1:]:
-            counterpart = (reference if mod.base != reference.base
-                           else partner)
-            adjusted: dict[str, bytes] = {}
-            cost = self.costs.compare_per_pair
-            code_ref = ({r.name: r for r in counterpart.code_regions}
-                        if counterpart is not None else {})
-            for region in mod.code_regions:
-                ref_region = code_ref.get(region.name)
-                if ref_region is None:
-                    continue
-                data_ref = counterpart.region_bytes(ref_region)
-                data_mod = mod.region_bytes(region)
-                if len(data_ref) != len(data_mod):
-                    continue
-                adj_ref, adj_mod, _stats = self._adjust(
-                    data_ref, counterpart.base, data_mod, mod.base,
-                    max_rva=max(len(counterpart.image), len(mod.image)))
-                adjusted[region.name] = adj_mod
-                if counterpart is reference:
-                    ref_adjusted.setdefault(region.name, adj_ref)
-                cost += 2 * len(data_mod) * (self.costs.rva_scan_per_byte
-                                             + self.costs.hash_per_byte)
-            self._charge(cost)
-            vectors[mod.vm_name] = region_vector(mod, adjusted)
-        vectors[reference.vm_name] = region_vector(reference, ref_adjusted)
+            if mod.base != reference.base:
+                record = step(mod, reference, ref_missing)
+                for region, digest in record.ref_digests.items():
+                    ref_digests.setdefault(region, digest)
+            else:
+                record = step(mod, partner, _keep_none)
+            vectors[mod.vm_name] = record.vector
+        vectors[reference.vm_name] = self._region_vector(reference,
+                                                         ref_digests)
 
         # Cluster by digest vector; majority cluster is clean.
         clusters: dict[tuple, list[str]] = {}

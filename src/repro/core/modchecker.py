@@ -40,7 +40,7 @@ from ..vmi.cache import CheckManifest, LRUCache, ManifestStore
 from ..vmi.core import VMIInstance, VMIStats
 from ..vmi.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..vmi.symbols import OSProfile
-from .integrity import IntegrityChecker
+from .integrity import CanonicalRecord, IntegrityChecker
 from .parser import ModuleParser, ParsedModule
 from .report import PairComparison, PoolReport, VMCheckReport
 from .searcher import ModuleSearcher
@@ -245,12 +245,12 @@ class ModChecker:
         self.trap_fallbacks: dict[str, int] = {}
         self.recheck_ttl = recheck_ttl
         self.manifests = ManifestStore(manifest_capacity, ttl=recheck_ttl)
-        #: (module, vm_a, vm_b) -> (key_a, key_b, PairComparison);
-        #: replayed only when both content keys still match, so a
-        #: stale pair is unreachable rather than merely evicted
-        self._pair_cache: LRUCache[tuple[str, str, str],
-                                   tuple[str, str, PairComparison]] = \
-            LRUCache(8192)
+        #: the replay store of both pool votes (see :meth:`_replay`):
+        #: (module, vm_a, vm_b) -> (key_a, key_b, PairComparison) and
+        #: ("canonical", module, counterpart, member) -> (key_c, key_m,
+        #: CanonicalRecord); replayed only when both content keys still
+        #: match, so a stale entry is unreachable rather than evicted
+        self._pair_cache: LRUCache[tuple, tuple] = LRUCache(8192)
         #: pairwise comparisons served from the replay cache (cumulative)
         self.pair_replays = 0
         #: per-fetch acquisition metadata, reset by every fetch round
@@ -711,39 +711,80 @@ class ModChecker:
             content_key=_content_key(copy.base, len(copy.image), digests),
             parsed=parsed, from_manifest=False)
 
+    def _replay(self, key: tuple, mod_a: ParsedModule,
+                mod_b: ParsedModule, compute: Callable[[bool], object],
+                ) -> tuple[object, bool]:
+        """Serve ``compute``'s result for one pair from ``_pair_cache``
+        while both copies' content keys still match.
+
+        Every comparison step here is a pure function of (bytes, base)
+        on both sides, and the content keys pin exactly those inputs
+        (hence the parse, ``max_rva`` and the adjustment), so a cached
+        result whose keys both still match *is* the result. Copies
+        without acquisition metadata (full mode) are neither looked up
+        nor stored; ``compute(storing)`` learns which. Returns
+        ``(result, replayed)``.
+        """
+        meta_a = self._acq_meta.get(mod_a.vm_name)
+        meta_b = self._acq_meta.get(mod_b.vm_name)
+        if meta_a is None or meta_b is None:
+            return compute(False), False
+        cached = self._pair_cache.peek(key)
+        if (cached is not None and cached[0] == meta_a.content_key
+                and cached[1] == meta_b.content_key):
+            return cached[2], True
+        result = compute(True)
+        self._pair_cache.put(
+            key, (meta_a.content_key, meta_b.content_key, result))
+        return result, False
+
     def _compare_or_replay(self, mod_a: ParsedModule,
                            mod_b: ParsedModule) -> PairComparison:
         """One pairwise comparison, replayed from cache when sound.
 
-        ``compare_pair`` is a pure function of (bytes, base) on both
-        sides; the content keys pin exactly those inputs, so a cached
-        :class:`PairComparison` whose keys both still match is the
-        comparison — byte-for-byte, including its ``rva_stats`` — at
-        zero simulated cost. The replay emits the same ``pair.compared``
-        audit event the computed path would.
+        A replayed :class:`PairComparison` is the comparison byte for
+        byte, including its ``rva_stats``, at zero simulated cost. The
+        replay emits the same ``pair.compared`` audit event the
+        computed path would.
         """
-        meta_a = self._acq_meta.get(mod_a.vm_name)
-        meta_b = self._acq_meta.get(mod_b.vm_name)
-        if meta_a is not None and meta_b is not None:
-            key = (mod_a.module_name, mod_a.vm_name, mod_b.vm_name)
-            cached = self._pair_cache.peek(key)
-            if (cached is not None and cached[0] == meta_a.content_key
-                    and cached[1] == meta_b.content_key):
-                pair = cached[2]
-                self.pair_replays += 1
-                events = self.obs.events
-                if events.enabled:
-                    events.emit("pair.compared", module=mod_a.module_name,
-                                vm_a=pair.vm_a, vm_b=pair.vm_b,
-                                matched=pair.matched,
-                                mismatched=list(pair.mismatched_regions))
-                return pair
-        pair = self.checker.compare_pair(mod_a, mod_b)
-        if meta_a is not None and meta_b is not None:
-            self._pair_cache.put(
-                (mod_a.module_name, mod_a.vm_name, mod_b.vm_name),
-                (meta_a.content_key, meta_b.content_key, pair))
+        pair, replayed = self._replay(
+            (mod_a.module_name, mod_a.vm_name, mod_b.vm_name), mod_a, mod_b,
+            lambda _storing: self.checker.compare_pair(mod_a, mod_b))
+        if replayed:
+            self.pair_replays += 1
+            events = self.obs.events
+            if events.enabled:
+                events.emit("pair.compared", module=mod_a.module_name,
+                            vm_a=pair.vm_a, vm_b=pair.vm_b,
+                            matched=pair.matched,
+                            mismatched=list(pair.mismatched_regions))
         return pair
+
+    def _canonical_member(self, mod: ParsedModule,
+                          counterpart: ParsedModule | None,
+                          want_ref: Callable[[str], bool],
+                          ) -> CanonicalRecord:
+        """One canonical-vote member step, replayed from cache when sound.
+
+        A stored record keeps every counterpart digest (the counterpart
+        may be the reference in a later round even if it is a partner
+        now). Unlike a pairwise replay, a canonical replay still
+        charges the step's cost, once and as the same float, so the
+        simulated clock is bit-identical to the computed path; the
+        saving is host time only. Making it free, as pair replay is, is
+        a pending model change. Not counted in ``pair_replays``.
+        """
+        step = self.checker.canonical_member
+        if counterpart is None:
+            return step(mod, None, want_ref)
+        record, replayed = self._replay(
+            ("canonical", mod.module_name, counterpart.vm_name,
+             mod.vm_name), counterpart, mod,
+            lambda storing: (step(mod, counterpart) if storing
+                             else step(mod, counterpart, want_ref)))
+        if replayed:
+            self._charge(record.cost)
+        return record
 
     def _update_manifests(self, module_name: str,
                           report: PoolReport) -> None:
@@ -834,8 +875,15 @@ class ModChecker:
         injector = getattr(self.hv, "fault_injector", None)
         if injector is not None:
             record_fault_stats(metrics, injector.stats)
+        if members is not None:
+            # The fleet owns the manifest, trap and repair series and
+            # publishes their sum over its shards: every shard setting
+            # its own cumulative totals on one unlabelled series would
+            # leave the last publisher's value, or run it backwards.
+            return
         if self.incremental:
-            record_manifest_stats(metrics, self.manifests,
+            record_manifest_stats(metrics, self.manifests.stats,
+                                  entries=len(self.manifests),
                                   pair_replays=self.pair_replays)
         if self.repair is not None:
             record_repair_stats(metrics, self.repair.stats)
@@ -1101,7 +1149,8 @@ class ModChecker:
                 start = self._work()
                 if mode == "canonical":
                     # one O(t) pass over a single reference: one work item
-                    report = self.checker.check_pool_canonical(parsed)
+                    report = self.checker.check_pool_canonical(
+                        parsed, member_step=self._canonical_member)
                     pair_work = [self._work() - start]
                 else:
                     pairs, pair_work = self._compare_pairs(

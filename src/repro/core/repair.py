@@ -191,6 +191,13 @@ class RepairStats:
             self.mttr_count += 1
             self.mttr_max = max(self.mttr_max, mttr)
 
+    def merge(self, other: "RepairStats") -> None:
+        """Add another engine's counters in (a fleet's sum over shards)."""
+        for name in vars(other):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(self, name, max(mine, theirs) if name == "mttr_max"
+                    else mine + theirs)
+
     @property
     def mttr_mean(self) -> float:
         return self.mttr_sum / self.mttr_count if self.mttr_count else 0.0

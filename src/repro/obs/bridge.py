@@ -266,32 +266,35 @@ def record_membership(metrics, *, pool_size: int, events) -> None:
         counter.set_to(count, event=event)
 
 
-def record_manifest_stats(metrics, store, *, pair_replays: int = 0) -> None:
-    """ManifestStore counters -> incremental-pipeline metrics.
+def record_manifest_stats(metrics, stats, *, entries: int,
+                          pair_replays: int = 0) -> None:
+    """ManifestStats counters -> incremental-pipeline metrics.
 
-    All sources are cumulative (the store never resets its counters),
-    so everything publishes via ``set_to``; the only instantaneous
-    value is the entry count, which is a gauge. The miss/invalidations
-    reason labels follow the taxonomy documented on
+    ``stats`` is a :class:`~repro.vmi.cache.ManifestStats` (one
+    store's, or a fleet's sum over its shards). All sources are
+    cumulative (a store never resets its counters), so everything
+    publishes via ``set_to``; the only instantaneous value is
+    ``entries``, the manifests held right now, which is a gauge. The
+    miss/invalidations reason labels follow the taxonomy documented on
     :class:`~repro.vmi.cache.ManifestStore`.
     """
     metrics.counter(
         "modchecker_manifest_hits_total",
         "Manifest lookups that found a structurally valid entry").set_to(
-            store.stats.hits)
+            stats.hits)
     misses = metrics.counter(
         "modchecker_manifest_misses_total",
         "Manifest lookups that missed, by reason")
-    for reason, count in sorted(store.stats.misses.items()):
+    for reason, count in sorted(stats.misses.items()):
         misses.set_to(count, reason=reason)
     invalidations = metrics.counter(
         "modchecker_manifest_invalidations_total",
         "Manifest entries dropped, by reason")
-    for reason, count in sorted(store.stats.invalidations.items()):
+    for reason, count in sorted(stats.invalidations.items()):
         invalidations.set_to(count, reason=reason)
     metrics.gauge(
         "modchecker_manifest_entries",
-        "Manifests currently held by the store").set(len(store))
+        "Manifests currently held by the store").set(entries)
     metrics.counter(
         "modchecker_pair_replays_total",
         "Pairwise comparisons served from the content-keyed "

@@ -171,6 +171,14 @@ class ManifestStats:
     misses: dict[str, int] = field(default_factory=dict)
     invalidations: dict[str, int] = field(default_factory=dict)
 
+    def merge(self, other: "ManifestStats") -> None:
+        """Add another store's counters in (a fleet's sum over shards)."""
+        self.hits += other.hits
+        for mine, theirs in ((self.misses, other.misses),
+                             (self.invalidations, other.invalidations)):
+            for reason, count in theirs.items():
+                mine[reason] = mine.get(reason, 0) + count
+
     @property
     def missed(self) -> int:
         return sum(self.misses.values())

@@ -292,6 +292,79 @@ class TestObservability:
             assert metric in blob
 
 
+    def test_checker_series_are_fleet_wide_sums_under_churn(self):
+        """Manifest, trap and repair series are owned by the fleet:
+        each equals the sum over every shard checker the fleet ever
+        ran, retired shards included. Scoped checkers used to publish
+        their own totals on the shared series, so the last shard won,
+        and under churn the counter ran backwards and raised."""
+        attack, module = attack_for_experiment("E1")
+        infected = attack.apply(build_catalog(seed=SEED)[module]).infected
+        tb = build_fleet_testbed(48, seed=SEED,
+                                 infected={"Dom3": {module: infected}})
+        obs = make_observability(tb.clock)
+        engine = ChaosEngine(tb.hypervisor, ChaosConfig.from_churn_rate(0.2),
+                             seed=SEED, catalog=tb.catalog)
+        fleet = Fleet(tb.hypervisor, shard_size=12, chaos=engine, obs=obs,
+                      checker_kwargs={"event_driven": True,
+                                      "repair_policy": "repair"})
+        checkers = {}
+        for rnd in range(12):
+            if rnd == 6:
+                # empty one shard so its counters must come from the fold
+                doomed = min(fleet.shards.values(), key=lambda s: s.size)
+                for vm in doomed.member_names():
+                    tb.hypervisor.destroy(vm)
+            fleet.run_cycle()
+            checkers.update((s.name, s.checker)
+                            for s in fleet.shards.values())
+        live = [s.checker for s in fleet.shards.values()]
+        assert doomed.name not in fleet.shards
+        assert doomed.checker.manifests.stats.hits > 0
+
+        def total(attr):
+            return sum(getattr(mc, attr) for mc in checkers.values())
+
+        def by_reason(get):
+            out = {}
+            for mc in checkers.values():
+                for reason, count in get(mc).items():
+                    out[reason] = out.get(reason, 0) + count
+            return out
+
+        m = obs.metrics
+        assert m.counter("modchecker_manifest_hits_total").value() == \
+            sum(mc.manifests.stats.hits for mc in checkers.values())
+        for name, get in (
+                ("modchecker_manifest_misses_total",
+                 lambda mc: mc.manifests.stats.misses),
+                ("modchecker_manifest_invalidations_total",
+                 lambda mc: mc.manifests.stats.invalidations),
+                ("modchecker_trap_fallbacks_total",
+                 lambda mc: mc.trap_fallbacks)):
+            expected = by_reason(get)
+            assert expected or name.startswith("modchecker_trap")
+            for reason, count in expected.items():
+                assert m.counter(name).value(reason=reason) == count
+        assert m.gauge("modchecker_manifest_entries").value() == \
+            sum(len(mc.manifests) for mc in live)
+        assert m.counter("modchecker_pair_replays_total").value() == \
+            total("pair_replays")
+        assert m.counter("modchecker_trap_validations_total").value() == \
+            total("trap_validations") > 0
+        assert m.counter("modchecker_trap_pages_checked_total").value() \
+            == total("trap_pages_checked")
+        attempts = sum(mc.repair.stats.attempts for mc in checkers.values())
+        assert attempts > 0
+        assert m.counter("modchecker_repair_attempts_total").value() == \
+            attempts
+        outcomes = m.counter("modchecker_repair_outcomes_total")
+        for status in ("verified", "failed", "quarantined", "aborted"):
+            assert outcomes.value(status=status) == sum(
+                getattr(mc.repair.stats, status)
+                for mc in checkers.values())
+
+
 class TestValidation:
     def test_rejects_bad_parameters(self):
         tb = build_fleet_testbed(2, seed=SEED)

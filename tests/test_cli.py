@@ -184,6 +184,26 @@ class TestFleet:
         assert rc == 1
         assert "fleet WARN" in out
 
+    def test_churned_event_fleet_writes_metrics(self, tmp_path, capsys):
+        """Every shard checker used to ``set_to`` its own cumulative
+        manifest totals on the shared series; under churn a smaller
+        shard published after a larger one and the run died with
+        "counter ... went backwards". Churn degrades migrating VMs, so
+        the contract answer is WARN (1), returned rather than raised."""
+        path = tmp_path / "m.prom"
+        rc = main(["fleet", "--vms", "48", "--shard-size", "12",
+                   "--cycles", "12", "--event-driven",
+                   "--churn-rate", "0.2", "--metrics-out", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "fleet WARN" in out and "0 integrity" in out
+        text = path.read_text()
+        for series in ("modchecker_manifest_hits_total",
+                       "modchecker_manifest_misses_total",
+                       "modchecker_trap_validations_total",
+                       "modchecker_pair_replays_total"):
+            assert series in text
+
     def test_bad_sink_exit_three(self, capsys):
         rc = main(["fleet", "--vms", "12", "--sink", "carrier-pigeon"])
         err = capsys.readouterr().err
