@@ -23,6 +23,7 @@ Run:  python examples/fault_tolerant_monitoring.py
 
 from repro import CheckDaemon, ModChecker, build_testbed
 from repro.attacks import RuntimeCodePatchAttack
+from repro.core import BreakerConfig
 from repro.core.daemon import RoundRobinPolicy
 from repro.hypervisor import FaultConfig, FaultInjector
 
@@ -50,7 +51,7 @@ def main() -> None:
                                   unreachable_duration=10.0,
                                   only_domains=("Dom4",))
     daemon = CheckDaemon(mc, RoundRobinPolicy(per_cycle=2),
-                         interval=60.0, quarantine_cycles=2)
+                         interval=60.0, breaker=BreakerConfig(open_cycles=2))
     for alert in daemon.run_cycle():
         print(f"  ALERT {alert}")
     assert daemon.quarantined == ["Dom4"]

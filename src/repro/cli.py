@@ -15,7 +15,9 @@ Drives the whole reproduction from a shell::
     modchecker experiment e1 fig7 ...      # the benchmark harness
 
 Exit status: 0 = no discrepancy, 1 = discrepancy detected (so the tool
-scripts cleanly into cron-style monitoring), 2 = usage error.
+scripts cleanly into cron-style monitoring), 2 = usage error. Flag values
+are parsed and range-checked once, by argparse: a malformed or
+out-of-range value is a usage error on every subcommand, fleet included.
 
 ``fleet`` is the operational health check and follows the stricter
 node-pipeline contract instead: 0 = OK (healthy, or killswitch
@@ -48,6 +50,25 @@ __all__ = ["main", "build_arg_parser"]
 DEFAULT_SEED = 2012
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse ``type=`` parsing with ``kind`` and range-checking with
+    ``ok``; a bad value is a usage error (exit 2) naming the flag."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_RATE = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_NONZERO_RATE = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, ">= 1")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modchecker",
@@ -57,22 +78,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="deterministic testbed seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--vms", type=int, default=6,
-                       help="number of cloned guests")
-        p.add_argument("--infect", metavar="EXP",
-                       help="stage a paper experiment (E1..E4) first")
-        p.add_argument("--victim", default="Dom3",
-                       help="VM that boots the infected module")
-        p.add_argument("--fault-rate", type=float, default=0.0,
-                       metavar="P",
-                       help="inject transient introspection faults on "
-                            "P of guest reads (deterministic, seeded "
-                            "from --seed)")
-        p.add_argument("--retry", type=int, default=None, metavar="N",
-                       help="attempts per failing guest read "
-                            "(default: policy default; 0 disables "
-                            "retries)")
+    def add_obs(p):
         p.add_argument("--trace-out", metavar="PATH",
                        help="write a Chrome trace-event JSON of the run "
                             "(load via chrome://tracing or Perfetto)")
@@ -82,11 +88,43 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--events-out", metavar="PATH",
                        help="write the structured JSONL audit log of "
                             "the run (correlated by check_id)")
+
+    def add_common(p):
+        p.add_argument("--vms", type=_AT_LEAST_ONE, default=6,
+                       help="number of cloned guests")
+        p.add_argument("--infect", metavar="EXP",
+                       help="stage a paper experiment (E1..E4) first")
+        p.add_argument("--victim", default="Dom3",
+                       help="VM that boots the infected module")
+        p.add_argument("--fault-rate", type=_RATE, default=0.0,
+                       metavar="P",
+                       help="inject transient introspection faults on "
+                            "P of guest reads (deterministic, seeded "
+                            "from --seed)")
+        add_obs(p)
+
+    def add_checker(p):
+        """The ModChecker flags; :func:`_checker_kwargs` maps them."""
+        p.add_argument("--retry", type=int, default=None, metavar="N",
+                       help="attempts per failing guest read "
+                            "(default: policy default; 0 disables "
+                            "retries)")
         p.add_argument("--evidence-out", metavar="DIR",
                        help="capture an evidence bundle into DIR for "
                             "every non-clean pool verdict")
-        add_batch(p)
-        add_incremental(p)
+        p.add_argument("--incremental", action="store_true",
+                       help="skip copy/parse/compare for modules whose "
+                            "content-addressed page manifest still "
+                            "matches (cheap per-page checksum sweep)")
+        p.add_argument("--recheck-ttl", type=_POSITIVE, default=None,
+                       metavar="SECONDS",
+                       help="force a full re-verification of a manifest "
+                            "this long after its last clean full check "
+                            "(default: never)")
+        p.add_argument("--event-driven", action="store_true",
+                       help="write-protect committed manifests and "
+                            "re-check only trapped pages — O(writes) "
+                            "steady state (implies --incremental)")
 
     def add_slo(p):
         p.add_argument("--slo", action="store_true",
@@ -99,13 +137,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "thresholds); implies --slo. Schema in "
                             "docs/OBSERVABILITY.md")
 
-    def add_batch(p):
-        p.add_argument("--no-batch", action="store_true",
-                       help="pin acquisition to the scalar per-page "
-                            "reference path instead of the vectorised "
-                            "batch reader (the differential harness's "
-                            "control arm; slower, same results)")
-
     def add_repair(p):
         p.add_argument("--repair", nargs="?", const="repair", default=None,
                        choices=["repair", "quarantine-on-repeat-failure"],
@@ -115,28 +146,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "--repair; POLICY=quarantine-on-repeat-"
                             "failure additionally trips the VM's breaker "
                             "when the retry budget runs out)")
-        p.add_argument("--repair-attempts", type=int, default=3,
+        p.add_argument("--repair-attempts", type=_AT_LEAST_ONE, default=3,
                        metavar="N",
                        help="restore attempts per tampered module before "
                             "giving up (default: 3)")
 
-    def add_incremental(p):
-        p.add_argument("--incremental", action="store_true",
-                       help="skip copy/parse/compare for modules whose "
-                            "content-addressed page manifest still "
-                            "matches (cheap per-page checksum sweep)")
-        p.add_argument("--recheck-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="force a full re-verification of a manifest "
-                            "this long after its last clean full check "
-                            "(default: never)")
-        p.add_argument("--event-driven", action="store_true",
-                       help="write-protect committed manifests and "
-                            "re-check only trapped pages — O(writes) "
-                            "steady state (implies --incremental)")
-
     p_check = sub.add_parser("check", help="cross-check one module")
     add_common(p_check)
+    add_checker(p_check)
     add_repair(p_check)
     p_check.add_argument("--module", default="hal.dll")
     p_check.add_argument("--rva-mode", default="robust",
@@ -150,17 +167,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="check every loaded module")
     add_common(p_sweep)
+    add_checker(p_sweep)
     add_repair(p_sweep)
 
     p_hidden = sub.add_parser("hidden", help="carve for DKOM-hidden modules")
-    p_hidden.add_argument("--vms", type=int, default=3)
+    p_hidden.add_argument("--vms", type=_AT_LEAST_ONE, default=3)
     p_hidden.add_argument("--hide", metavar="MODULE",
                           help="unlink MODULE on the victim first (demo)")
     p_hidden.add_argument("--victim", default="Dom2")
 
     p_cross = sub.add_parser("crossview",
                              help="compare listed vs carved module views")
-    p_cross.add_argument("--vms", type=int, default=3)
+    p_cross.add_argument("--vms", type=_AT_LEAST_ONE, default=3)
     p_cross.add_argument("--hide", metavar="MODULE",
                          help="demo: unlink MODULE on the victim")
     p_cross.add_argument("--decoy", action="store_true",
@@ -174,10 +192,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_daemon = sub.add_parser("daemon", help="run periodic checking cycles")
     add_common(p_daemon)
+    add_checker(p_daemon)
     add_repair(p_daemon)
     p_daemon.add_argument("--cycles", type=int, default=5)
-    p_daemon.add_argument("--interval", type=float, default=60.0)
-    p_daemon.add_argument("--churn-rate", type=float, default=0.0,
+    p_daemon.add_argument("--interval", type=_POSITIVE, default=60.0)
+    p_daemon.add_argument("--churn-rate", type=_RATE, default=0.0,
                           metavar="P",
                           help="drive seeded lifecycle churn (reboots, "
                                "pauses, migrations, destroys, creates) "
@@ -186,11 +205,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos", help="soak the daemon under lifecycle churn")
-    p_chaos.add_argument("--vms", type=int, default=5,
+    p_chaos.add_argument("--vms", type=_AT_LEAST_ONE, default=5,
                          help="initial pool size")
     p_chaos.add_argument("--cycles", type=int, default=20)
-    p_chaos.add_argument("--interval", type=float, default=60.0)
-    p_chaos.add_argument("--churn-rate", type=float, default=0.2,
+    p_chaos.add_argument("--interval", type=_POSITIVE, default=60.0)
+    p_chaos.add_argument("--churn-rate", type=_NONZERO_RATE, default=0.2,
                          metavar="P",
                          help="scalar churn knob, split across event "
                               "kinds (see ChaosConfig.from_churn_rate)")
@@ -201,21 +220,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                               "scenario)")
     p_chaos.add_argument("--infect", metavar="EXP", default="E2",
                          help="which paper infection the clone carries")
-    p_chaos.add_argument("--retry", type=int, default=None, metavar="N",
-                         help="attempts per failing guest read")
-    p_chaos.add_argument("--trace-out", metavar="PATH",
-                         help="write a Chrome trace-event JSON of the run")
-    p_chaos.add_argument("--metrics-out", metavar="PATH",
-                         help="write run metrics; .json suffix = JSON "
-                              "snapshot, anything else = Prometheus text")
-    p_chaos.add_argument("--events-out", metavar="PATH",
-                         help="write the structured JSONL audit log of "
-                              "the soak (correlated by check_id)")
-    p_chaos.add_argument("--evidence-out", metavar="DIR",
-                         help="capture an evidence bundle into DIR for "
-                              "every non-clean pool verdict")
-    add_batch(p_chaos)
-    add_incremental(p_chaos)
+    add_obs(p_chaos)
+    add_checker(p_chaos)
     add_repair(p_chaos)
     add_slo(p_chaos)
 
@@ -223,6 +229,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "explain",
         help="render a forensic incident report for a non-clean check")
     add_common(p_explain)
+    add_checker(p_explain)
     p_explain.add_argument("--bundle", metavar="PATH",
                            help="load and render an existing evidence "
                                 "bundle instead of re-running a scenario")
@@ -235,16 +242,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "fleet",
         help="run the sharded fleet health check (OK/WARN/CRITICAL)")
     add_common(p_fleet)
+    add_checker(p_fleet)
     add_repair(p_fleet)
     p_fleet.set_defaults(vms=24)
-    p_fleet.add_argument("--shard-size", type=int, default=8,
+    p_fleet.add_argument("--shard-size", type=_AT_LEAST_ONE, default=8,
                          help="max VMs per voting shard; same-key "
                               "overflow opens a sibling shard")
-    p_fleet.add_argument("--workers", type=int, default=8,
+    p_fleet.add_argument("--workers", type=_AT_LEAST_ONE, default=8,
                          help="Dom0 threads the shard scheduler models")
     p_fleet.add_argument("--cycles", type=int, default=5)
-    p_fleet.add_argument("--interval", type=float, default=60.0)
-    p_fleet.add_argument("--churn-rate", type=float, default=0.0,
+    p_fleet.add_argument("--interval", type=_POSITIVE, default=60.0)
+    p_fleet.add_argument("--churn-rate", type=_RATE, default=0.0,
                          metavar="P",
                          help="seeded lifecycle churn across the fleet")
     p_fleet.add_argument("--no-borrow", action="store_true",
@@ -275,7 +283,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                 "sharded scheduler (charged-CPU weights, "
                                 "since shard clocks are frozen under "
                                 "deferred charging)")
-    p_profile.add_argument("--vms", type=int, default=None,
+    p_profile.add_argument("--vms", type=_AT_LEAST_ONE, default=None,
                            help="pool size (default: 6 substrate, "
                                 "24 fleet)")
     p_profile.add_argument("--cycles", type=int, default=3)
@@ -309,19 +317,22 @@ def _build(args, module: str | None = None):
         result = attack.apply(catalog[module])
         infected = {args.victim: {module: result.infected}}
     tb = build_testbed(args.vms, seed=args.seed, infected=infected)
-    rate = getattr(args, "fault_rate", 0.0)
-    if not 0.0 <= rate <= 1.0:
-        raise SystemExit(f"error: --fault-rate must be in [0, 1], "
-                         f"got {rate}")
-    if rate:
-        from .hypervisor.faults import FaultConfig, FaultInjector
-        from .rng import derive_seed
-        injector = FaultInjector(FaultConfig(transient_rate=rate),
-                                 seed=derive_seed(args.seed, "cli-faults"))
-        injector.install(tb.hypervisor)
-        print(f"(faults) injecting transient faults on {rate:.1%} of "
-              f"guest reads")
+    _install_faults(args, tb.hypervisor)
     return tb, module
+
+
+def _install_faults(args, hypervisor) -> None:
+    """Inject seeded transient read faults at --fault-rate (none at 0)."""
+    rate = getattr(args, "fault_rate", 0.0)
+    if not rate:
+        return
+    from .hypervisor.faults import FaultConfig, FaultInjector
+    from .rng import derive_seed
+    FaultInjector(FaultConfig(transient_rate=rate),
+                  seed=derive_seed(args.seed, "cli-faults")
+                  ).install(hypervisor)
+    print(f"(faults) injecting transient faults on {rate:.1%} of "
+          f"guest reads")
 
 
 def _obs_for(args, clock):
@@ -361,7 +372,7 @@ def _export_obs(args, obs, evidence=None) -> None:
     if events_out:
         obs.events.write_jsonl(events_out)
         print(f"(obs) wrote {len(obs.events)} events to {events_out}")
-    if evidence is not None and evidence.captures:
+    if evidence is not None and evidence.out_dir and evidence.captures:
         print(f"(forensics) captured {evidence.captures} evidence "
               f"bundle(s) in {evidence.out_dir}")
 
@@ -403,40 +414,27 @@ def _print_slo(status) -> int:
     return status.exit_code
 
 
-def _retry_policy(args):
-    """Map --retry to a RetryPolicy (None disables retries)."""
+def _checker_kwargs(args, **extra) -> dict:
+    """ModChecker kwargs from the checker and repair flags, plus ``extra``.
+
+    --retry maps to a RetryPolicy (0 or less disables retries), and
+    --evidence-out to an EvidenceRecorder; subcommands without repair
+    flags keep the checker's detect-only default.
+    """
     from .vmi.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-    attempts = getattr(args, "retry", None)
+    attempts = args.retry
     if attempts is None:
-        return DEFAULT_RETRY_POLICY
-    if attempts <= 0:
-        return None
-    return RetryPolicy(max_attempts=attempts)
-
-
-def _incremental_kwargs(args) -> dict:
-    """Map --incremental/--recheck-ttl/--event-driven to ModChecker kwargs."""
-    ttl = getattr(args, "recheck_ttl", None)
-    if ttl is not None and ttl <= 0:
-        raise SystemExit(f"error: --recheck-ttl must be > 0, got {ttl}")
-    return {"incremental": getattr(args, "incremental", False),
-            "recheck_ttl": ttl,
-            "event_driven": getattr(args, "event_driven", False)}
-
-
-def _batch_kwargs(args) -> dict:
-    """Map --no-batch to ModChecker kwargs."""
-    return {"batch": not getattr(args, "no_batch", False)}
-
-
-def _repair_kwargs(args) -> dict:
-    """Map --repair/--repair-attempts to ModChecker kwargs."""
-    attempts = getattr(args, "repair_attempts", 3)
-    if attempts < 1:
-        raise SystemExit(f"error: --repair-attempts must be >= 1, "
-                         f"got {attempts}")
-    return {"repair_policy": getattr(args, "repair", None) or "detect-only",
-            "repair_max_attempts": attempts}
+        retry = DEFAULT_RETRY_POLICY
+    else:
+        retry = RetryPolicy(max_attempts=attempts) if attempts > 0 else None
+    return {"retry": retry,
+            "evidence": _evidence_for(args),
+            "incremental": args.incremental,
+            "recheck_ttl": args.recheck_ttl,
+            "event_driven": args.event_driven,
+            "repair_policy": getattr(args, "repair", None) or "detect-only",
+            "repair_max_attempts": getattr(args, "repair_attempts", 3),
+            **extra}
 
 
 def _print_remediations(remediations) -> None:
@@ -456,15 +454,12 @@ def cmd_check(args) -> int:
     tb, module = _build(args, args.module)
     module = module or args.module
     obs = _obs_for(args, tb.clock)
-    evidence = _evidence_for(args)
-    mc = ModChecker(tb.hypervisor, tb.profile, rva_mode=args.rva_mode,
-                    hash_algorithm=args.hash, retry=_retry_policy(args),
-                    obs=obs, evidence=evidence, **_incremental_kwargs(args),
-                    **_repair_kwargs(args), **_batch_kwargs(args))
+    mc = ModChecker(tb.hypervisor, tb.profile, **_checker_kwargs(
+        args, obs=obs, rva_mode=args.rva_mode, hash_algorithm=args.hash))
     out = mc.check_pool(module, mode=args.pool_mode)
     report = out.report
     _print_remediations(out.remediations)
-    _export_obs(args, obs, evidence)
+    _export_obs(args, obs, mc.evidence)
     rows = [[vm, f"{v.matches}/{v.comparisons}",
              "CLEAN" if v.clean else "FLAGGED",
              ", ".join(v.mismatched_regions) or "-"]
@@ -482,11 +477,10 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     tb, _ = _build(args)
     obs = _obs_for(args, tb.clock)
-    mc = ModChecker(tb.hypervisor, tb.profile, retry=_retry_policy(args),
-                    obs=obs, **_incremental_kwargs(args),
-                    **_repair_kwargs(args), **_batch_kwargs(args))
+    mc = ModChecker(tb.hypervisor, tb.profile,
+                    **_checker_kwargs(args, obs=obs))
     outcomes = mc.check_all_modules()
-    _export_obs(args, obs)
+    _export_obs(args, obs, mc.evidence)
     rows = []
     dirty = False
     for name, outcome in outcomes.items():
@@ -580,10 +574,7 @@ def cmd_dump(args) -> int:
 
 def _chaos_engine(args, tb):
     """Build a seeded churn engine from --churn-rate (None when 0)."""
-    rate = getattr(args, "churn_rate", 0.0)
-    if not 0.0 <= rate <= 1.0:
-        raise SystemExit(f"error: --churn-rate must be in [0, 1], "
-                         f"got {rate}")
+    rate = args.churn_rate
     if not rate:
         return None
     from .cloud import ChaosConfig, ChaosEngine
@@ -609,10 +600,8 @@ def _print_repair_summary(mc) -> None:
 def cmd_daemon(args) -> int:
     tb, _ = _build(args)
     obs = _obs_for(args, tb.clock)
-    evidence = _evidence_for(args)
-    mc = ModChecker(tb.hypervisor, tb.profile, retry=_retry_policy(args),
-                    obs=obs, evidence=evidence, **_incremental_kwargs(args),
-                    **_repair_kwargs(args), **_batch_kwargs(args))
+    mc = ModChecker(tb.hypervisor, tb.profile,
+                    **_checker_kwargs(args, obs=obs))
     daemon = CheckDaemon(mc, RoundRobinPolicy(per_cycle=3),
                          interval=args.interval,
                          chaos=_chaos_engine(args, tb),
@@ -628,7 +617,7 @@ def cmd_daemon(args) -> int:
         if daemon.quarantined:
             print(f"[{stamp:10.3f}s] quarantined: "
                   f"{', '.join(daemon.quarantined)}")
-    _export_obs(args, obs, evidence)
+    _export_obs(args, obs, mc.evidence)
     _print_repair_summary(mc)
     print(f"{len(daemon.log)} alert(s) over {args.cycles} cycles")
     rc = 1 if len(daemon.log) else 0
@@ -644,13 +633,9 @@ def cmd_chaos(args) -> int:
     """
     tb = build_testbed(args.vms, seed=args.seed)
     obs = _obs_for(args, tb.clock)
-    evidence = _evidence_for(args)
-    mc = ModChecker(tb.hypervisor, tb.profile, retry=_retry_policy(args),
-                    obs=obs, evidence=evidence, **_incremental_kwargs(args),
-                    **_repair_kwargs(args), **_batch_kwargs(args))
+    mc = ModChecker(tb.hypervisor, tb.profile,
+                    **_checker_kwargs(args, obs=obs))
     engine = _chaos_engine(args, tb)
-    if engine is None:
-        raise SystemExit("error: chaos needs --churn-rate > 0")
     daemon = CheckDaemon(mc, RoundRobinPolicy(per_cycle=3),
                          interval=args.interval, chaos=engine,
                          slo=_slo_engine(args, obs))
@@ -673,7 +658,7 @@ def cmd_chaos(args) -> int:
             print(f"[{tb.clock.now:10.3f}s] cycle {cycle}: quiet "
                   f"(pool={len(tb.hypervisor.guests())}, "
                   f"open={len(daemon.quarantined)})")
-    _export_obs(args, obs, evidence)
+    _export_obs(args, obs, mc.evidence)
     stats = engine.stats
     print(f"churn: {stats.events} events over {stats.steps} steps "
           f"({stats.reboots} reboots, {stats.pauses} pauses, "
@@ -737,36 +722,21 @@ def cmd_fleet(args) -> int:
                                  infected=infected)
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}") from None
-    rate = args.fault_rate
-    if not 0.0 <= rate <= 1.0:
-        raise SystemExit(f"error: --fault-rate must be in [0, 1], "
-                         f"got {rate}")
-    if rate:
-        from .hypervisor.faults import FaultConfig, FaultInjector
-        from .rng import derive_seed
-        FaultInjector(FaultConfig(transient_rate=rate),
-                      seed=derive_seed(args.seed, "cli-faults")
-                      ).install(tb.hypervisor)
-        print(f"(faults) injecting transient faults on {rate:.1%} of "
-              f"guest reads")
+    _install_faults(args, tb.hypervisor)
     obs = _obs_for(args, tb.clock)
     if not obs.enabled and isinstance(sink, PromSink):
         # the prometheus sink scrapes the registry; make it live
         from .obs import make_observability
         obs = make_observability(tb.clock)
-    evidence = _evidence_for(args)
 
     from .cloud import Fleet
+    checker_kwargs = _checker_kwargs(args)
     fleet = Fleet(tb.hypervisor, shard_size=args.shard_size,
                   workers=args.workers, interval=args.interval,
                   borrow=not args.no_borrow,
                   chaos=_chaos_engine(args, tb), obs=obs,
                   slo=_slo_engine(args, obs),
-                  checker_kwargs={"retry": _retry_policy(args),
-                                  "evidence": evidence,
-                                  **_incremental_kwargs(args),
-                                  **_repair_kwargs(args),
-                                  **_batch_kwargs(args)})
+                  checker_kwargs=checker_kwargs)
     print(f"fleet: {args.vms} VM(s) in {len(fleet.shards)} shard(s), "
           f"{args.workers} worker(s)")
     for _ in range(args.cycles):
@@ -826,7 +796,7 @@ def cmd_fleet(args) -> int:
         record["slo"] = slo_status.to_dict()
     sink.emit(record)
     sink.finalize(obs)
-    _export_obs(args, obs, evidence)
+    _export_obs(args, obs, checker_kwargs["evidence"])
     repair_note = ""
     if args.repair is not None:
         repair_note = (f", repairs: {stats.repairs_verified_total} "
@@ -916,12 +886,11 @@ def cmd_explain(args) -> int:
     module = module or args.module
     from .obs import make_observability
     obs = make_observability(tb.clock)
-    recorder = EvidenceRecorder()
-    mc = ModChecker(tb.hypervisor, tb.profile, retry=_retry_policy(args),
-                    obs=obs, evidence=recorder, **_incremental_kwargs(args),
-                    **_batch_kwargs(args))
+    recorder = EvidenceRecorder(out_dir=args.evidence_out)
+    mc = ModChecker(tb.hypervisor, tb.profile,
+                    **_checker_kwargs(args, obs=obs, evidence=recorder))
     out = mc.check_pool(module)
-    _export_obs(args, obs)
+    _export_obs(args, obs, recorder)
     if recorder.last is None:
         print(f"pool is clean: {module!r} consistent across "
               f"{len(out.report.vm_names)} VM(s); nothing to explain")

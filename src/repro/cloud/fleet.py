@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core.daemon import Alert, CheckDaemon, RoundRobinPolicy
-from ..core.health import BreakerConfig
 from ..core.modchecker import ModChecker
 from ..errors import InsufficientPool
 from ..guest.catalog import build_catalog
@@ -216,14 +215,9 @@ class Fleet:
                  shard_size: int = 64,
                  workers: int = 8,
                  interval: float = 60.0,
-                 quorum_floor: int = 2,
-                 carve: bool = False,
                  borrow: bool = True,
-                 breaker: BreakerConfig | None = None,
                  chaos=None,
                  obs: Observability = NULL_OBS,
-                 per_cycle_modules: int = 1,
-                 pool_mode: str = "canonical",
                  checker_kwargs: dict | None = None,
                  slo=None) -> None:
         if shard_size < 1:
@@ -241,19 +235,12 @@ class Fleet:
         self.shard_size = shard_size
         self.workers = workers
         self.interval = interval
-        self.quorum_floor = quorum_floor
-        self.carve = carve
         #: lend sibling references to quorum-starved shards
         self.borrow = borrow
-        self.breaker = breaker
         #: global chaos engine, stepped once per fleet round (never
         #: handed to shard daemons — churn is fleet-wide)
         self.chaos = chaos
         self.obs = obs
-        self.per_cycle_modules = per_cycle_modules
-        #: canonical (O(t) clustering) by default: a pairwise vote over
-        #: a 64-member shard costs 2k comparisons for the same verdict
-        self.pool_mode = pool_mode
         #: extra kwargs for every shard's ModChecker (event_driven=...,
         #: retry=..., flush_caches_each_round=..., ...)
         self.checker_kwargs = dict(checker_kwargs or {})
@@ -310,15 +297,15 @@ class Fleet:
         shard.checker = ModChecker(
             self.hv, profile, obs=self.obs,
             members=shard.member_names, **self.checker_kwargs)
+        # The daemon watches the checker's members and, running inside
+        # the round's deferred charges, leaves the clock to the fleet.
+        # Canonical vote: a pairwise one over a 64-member shard costs 2k
+        # comparisons for the same verdict.
         shard.daemon = CheckDaemon(
-            shard.checker,
-            RoundRobinPolicy(per_cycle=self.per_cycle_modules),
-            interval=self.interval, carve=self.carve,
-            quorum_floor=self.quorum_floor, breaker=self.breaker,
-            scope=shard.member_names,
+            shard.checker, RoundRobinPolicy(per_cycle=1), carve=False,
             lender=(lambda needed, exclude, shard=shard:
                     self.borrow_references(shard, needed, exclude)),
-            advance_clock=False, pool_mode=self.pool_mode)
+            pool_mode="canonical")
         self.shards[name] = shard
         self._note_shard_event("created", shard)
         return shard

@@ -7,8 +7,8 @@ from .carver import (CarvedModule, ModuleCarver, identify_carved,
 from .crossview import CrossViewReport, cross_view
 from .versioning import (VersionGroup, VersionedPoolReport,
                          check_pool_versioned, partition_by_version)
-from .daemon import (AdaptivePolicy, Alert, AlertLog, CheckDaemon,
-                     PriorityPolicy, RoundRobinPolicy)
+from .daemon import (Alert, AlertLog, CheckDaemon, PriorityPolicy,
+                     RoundRobinPolicy)
 from .health import (BreakerConfig, BreakerState, CircuitBreaker,
                      HealthRegistry)
 from .integrity import SUPPORTED_HASHES, IntegrityChecker, md5_hex
@@ -25,8 +25,7 @@ __all__ = [
     "CrossViewReport", "cross_view",
     "VersionGroup", "VersionedPoolReport", "check_pool_versioned",
     "partition_by_version",
-    "AdaptivePolicy", "Alert", "AlertLog", "CheckDaemon", "PriorityPolicy",
-    "RoundRobinPolicy",
+    "Alert", "AlertLog", "CheckDaemon", "PriorityPolicy", "RoundRobinPolicy",
     "BreakerConfig", "BreakerState", "CircuitBreaker", "HealthRegistry",
     "SUPPORTED_HASHES", "IntegrityChecker", "md5_hex",
     "CheckOutcome", "FetchResult", "ModChecker", "PoolOutcome",

@@ -10,11 +10,7 @@ policies:
     every module, in list order, one per cycle slot;
 ``PriorityPolicy``
     a critical list (e.g. ``hal.dll``, ``ntoskrnl.exe``) every cycle,
-    the long tail rotated one-per-cycle;
-``AdaptivePolicy``
-    like round-robin, but any module that ever alarmed is re-checked
-    every cycle until it has been clean for ``cooldown`` cycles —
-    the "flag → watch closely" behaviour an operator wants.
+    the long tail rotated one-per-cycle.
 
 Each cycle also runs the anti-DKOM carving sweep on one VM (rotating),
 so hidden modules surface within ``len(pool)`` cycles.
@@ -29,13 +25,19 @@ membership** on every cycle: guests created mid-run are admitted (after
 a warm-up walk, so they never vote cold), destroyed guests are evicted,
 and a rebooted guest — whose cached VMI session now points at a dead
 address space — is re-attached and re-warmed before it votes again.
-When churn leaves fewer than ``quorum_floor`` VMs able to vote, the
+When churn leaves fewer than ``QUORUM_FLOOR`` VMs able to vote, the
 cycle emits a degraded alert and suspends integrity checks instead of
 crashing. An optional chaos engine (``chaos=``) is stepped at the top
 of every cycle, which is how the soak tests drive lifecycle churn
 deterministically. The module list is re-discovered every
 ``rediscover_every`` cycles (and forcibly on any membership change), so
 modules loaded after the daemon started are picked up and monitored.
+
+The daemon watches the checker's pool: every hypervisor guest, or the
+names a scoped checker's ``members`` closure returns (a fleet shard).
+Each cycle ends by advancing the clock one ``interval``, except inside
+:meth:`~repro.hypervisor.xen.Hypervisor.deferred_charges`, where the
+caller (the fleet's makespan model) owns the clock.
 """
 
 from __future__ import annotations
@@ -53,7 +55,10 @@ from .modchecker import ModChecker
 from .searcher import ModuleSearcher
 
 __all__ = ["Alert", "AlertLog", "SchedulingPolicy", "RoundRobinPolicy",
-           "PriorityPolicy", "AdaptivePolicy", "CheckDaemon"]
+           "PriorityPolicy", "CheckDaemon", "QUORUM_FLOOR"]
+
+#: fewest votable VMs a pool check needs (voting needs two)
+QUORUM_FLOOR = 2
 
 
 @dataclass(frozen=True)
@@ -142,62 +147,27 @@ class PriorityPolicy(SchedulingPolicy):
         return picked
 
 
-class AdaptivePolicy(SchedulingPolicy):
-    """Round-robin plus every-cycle re-checks of recent offenders."""
-
-    def __init__(self, per_cycle: int = 2, cooldown: int = 3) -> None:
-        self.base = RoundRobinPolicy(per_cycle)
-        self.cooldown = cooldown
-        self._watch: dict[str, int] = {}     # module -> cycles left
-
-    def note_outcome(self, module: str, alarmed: bool) -> None:
-        if alarmed:
-            self._watch[module] = self.cooldown
-        elif module in self._watch:
-            self._watch[module] -= 1
-            if self._watch[module] <= 0:
-                del self._watch[module]
-
-    def select(self, cycle: int, modules: list[str],
-               log: AlertLog) -> list[str]:
-        picked = [m for m in self._watch if m in modules]
-        for m in self.base.select(cycle, modules, log):
-            if m not in picked:
-                picked.append(m)
-        return picked
-
-
 class CheckDaemon:
     """Periodic integrity sweeps over the cloud, degrading gracefully."""
 
     def __init__(self, checker: ModChecker, policy: SchedulingPolicy | None = None,
                  *, interval: float = 60.0, carve: bool = True,
-                 quarantine_cycles: int = 3,
                  rediscover_every: int = 1,
-                 quorum_floor: int = 2,
                  breaker: BreakerConfig | None = None,
                  chaos=None,
                  trap_priority: bool = True,
-                 scope: Callable[[], list[str]] | None = None,
                  lender: Callable[[int, list[str]], list[str]] | None = None,
-                 advance_clock: bool = True,
                  pool_mode: str = "pairwise",
-                 slo=None, slo_scope: str = "daemon") -> None:
+                 slo=None) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
-        if quarantine_cycles < 1:
-            raise ValueError("quarantine_cycles must be >= 1")
         if rediscover_every < 1:
             raise ValueError("rediscover_every must be >= 1")
-        if quorum_floor < 2:
-            raise ValueError("quorum_floor must be >= 2 (voting needs two)")
         self.checker = checker
         self.policy = policy or RoundRobinPolicy()
         self.interval = interval
         self.carve = carve
-        self.quarantine_cycles = quarantine_cycles
         self.rediscover_every = rediscover_every
-        self.quorum_floor = quorum_floor
         #: stepped once at the top of every cycle when present (any
         #: object with a ``step()`` — in practice a ChaosEngine)
         self.chaos = chaos
@@ -207,41 +177,28 @@ class CheckDaemon:
         #: the schedule byte-identical to the polling pipelines (the
         #: metamorphic equivalence suite does).
         self.trap_priority = trap_priority
-        #: optional membership closure: when set, this daemon watches
-        #: only the named VMs instead of every hypervisor guest — how a
-        #: fleet shard scopes its daemon while sharing the hypervisor
-        #: with sibling shards. Must match the checker's own scope.
-        self.scope = scope
         #: optional quorum lender ``(needed, exclude) -> [vm, ...]``:
-        #: when churn leaves this pool short of ``quorum_floor``, the
+        #: when churn leaves this pool short of ``QUORUM_FLOOR``, the
         #: lender supplies votable reference VMs from *outside* the pool
         #: (sibling shards with the same module fingerprint). Borrowed
         #: VMs vote but are never admitted: their breakers, warm-up and
         #: membership stay with their home shard.
         self.lender = lender
-        #: when False the cycle leaves the simulated clock alone so an
-        #: outer scheduler (the fleet makespan model) can advance it
-        #: once for many concurrent shards
-        self.advance_clock = advance_clock
         #: "pairwise" (the paper's O(t^2) vote) or "canonical" (the
         #: O(t) clustering vote — what a large fleet shard wants)
         self.pool_mode = pool_mode
         #: optional :class:`~repro.obs.slo.SloEngine`: when set, every
         #: cycle feeds cycle latency / detection latency / MTTR /
-        #: coverage under ``slo_scope`` and re-evaluates burn rates. A
-        #: fleet does NOT pass this to its shard daemons — the shard
-        #: clocks are frozen under deferred charging, so the fleet
+        #: coverage under the ``"daemon"`` scope and re-evaluates burn
+        #: rates. A fleet does NOT pass this to its shard daemons — the
+        #: shard clocks are frozen under deferred charging, so the fleet
         #: records per-shard signals itself from its cost model.
         self.slo = slo
-        self.slo_scope = slo_scope
         #: the last :class:`~repro.obs.slo.SloStatus` evaluated (None
         #: until the first cycle with an engine attached)
         self.last_slo_status = None
-        #: per-VM circuit breakers; ``quarantine_cycles`` keeps its old
-        #: meaning as the breaker's base cool-down
-        self.health = HealthRegistry(breaker or BreakerConfig(
-            open_cycles=quarantine_cycles,
-            max_open_cycles=max(32, quarantine_cycles)))
+        #: per-VM circuit breakers
+        self.health = HealthRegistry(breaker or BreakerConfig())
         self.log = AlertLog()
         self.cycles_run = 0
         #: pool checks completed / per-VM verdicts produced / borrowed
@@ -328,8 +285,7 @@ class CheckDaemon:
             if rec.status == "verified":
                 self.repairs_verified += 1
                 if self.slo is not None and rec.mttr is not None:
-                    self.slo.record(self.slo_scope, "mttr", rec.mttr,
-                                    clock.now)
+                    self.slo.record("daemon", "mttr", rec.mttr, clock.now)
                 self._raise_alert(
                     Alert(clock.now, module, (rec.vm_name,),
                           tuple(rec.regions), kind="repaired"),
@@ -355,15 +311,17 @@ class CheckDaemon:
     def _member_domains(self) -> list:
         """Domains this daemon is responsible for.
 
-        Unscoped, that is every hypervisor guest; scoped (fleet shard)
-        it is the scope's names resolved against the hypervisor — a
-        scoped name whose domain vanished is simply absent, which is
-        exactly what lets :meth:`_reconcile_membership` evict it.
+        Unscoped, that is every hypervisor guest; under a scoped checker
+        (fleet shard) it is the checker's ``members`` resolved against
+        the hypervisor — a member whose domain vanished is simply
+        absent, which is exactly what lets
+        :meth:`_reconcile_membership` evict it.
         """
-        if self.scope is None:
+        members = self.checker.members
+        if members is None:
             return list(self.checker.hv.guests())
         domains = []
-        for name in self.scope():
+        for name in members():
             try:
                 domains.append(self.checker.hv.domain(name))
             except DomainNotFound:
@@ -487,6 +445,7 @@ class CheckDaemon:
         events = obs.events
         cycle_start = clock.now
         new_alerts: list[Alert] = []
+        scoped = self.checker.members is not None
         # One correlation id per cycle: every event emitted anywhere
         # below — in ModChecker, the integrity checker, the breakers —
         # carries it, making the cycle one joinable causal record.
@@ -510,8 +469,7 @@ class CheckDaemon:
             self._warm_up_pending(new_alerts)
             active = self._active_vms()
             borrowed: list[str] = []
-            if 0 < len(active) < self.quorum_floor \
-                    and self.lender is not None:
+            if 0 < len(active) < QUORUM_FLOOR and self.lender is not None:
                 # Quorum starved but the pool is not empty: ask the
                 # lender for sibling references. Borrowed VMs vote this
                 # cycle only; they are never admitted here, and their
@@ -519,7 +477,7 @@ class CheckDaemon:
                 # *above* the floor: a two-voter pool can only tie on a
                 # mismatch (both flagged), while floor+1 lets the
                 # borrowed majority out-vote a tampered member.
-                needed = self.quorum_floor + 1 - len(active)
+                needed = QUORUM_FLOOR + 1 - len(active)
                 borrowed = [vm for vm in self.lender(needed, active)
                             if vm not in active]
                 if borrowed:
@@ -528,11 +486,11 @@ class CheckDaemon:
                         events.emit("quorum.borrowed",
                                     pool=len(active),
                                     borrowed=list(borrowed),
-                                    floor=self.quorum_floor)
+                                    floor=QUORUM_FLOOR)
             voters = active + borrowed
             own = set(active)
 
-            if len(voters) >= self.quorum_floor and active:
+            if len(voters) >= QUORUM_FLOOR and active:
                 modules = self._discover_modules(active)
                 schedule = self.policy.select(self.cycles_run, modules,
                                               self.log)
@@ -566,10 +524,7 @@ class CheckDaemon:
                     for vm in report.verdicts:
                         if vm in own:
                             self.health.record_success(vm)
-                    alarmed = not report.all_clean
-                    if isinstance(self.policy, AdaptivePolicy):
-                        self.policy.note_outcome(module, alarmed)
-                    if alarmed:
+                    if not report.all_clean:
                         flagged = tuple(report.flagged())
                         regions: list[str] = []
                         for vm in flagged:
@@ -583,8 +538,7 @@ class CheckDaemon:
                             new_alerts)
                     self._handle_remediations(module, outcome.remediations,
                                               own, new_alerts)
-            elif self.scope is not None \
-                    or len(self.checker.pool_vm_names()) > len(active):
+            elif scoped or len(self.checker.pool_vm_names()) > len(active):
                 # Degrade loudly, never crash the service. Unscoped
                 # daemons alert only when *churn* (not pool size as
                 # provisioned) starved the quorum — a 1-VM testbed is
@@ -595,7 +549,7 @@ class CheckDaemon:
                 self._raise_alert(
                     Alert(clock.now, "<pool>", (),
                           (f"quorum starved: {len(active)} votable "
-                           f"VM(s), floor is {self.quorum_floor}; "
+                           f"VM(s), floor is {QUORUM_FLOOR}; "
                            f"integrity checks suspended",),
                           kind="degraded",
                           degraded=tuple(self.health.open_vms())),
@@ -614,15 +568,15 @@ class CheckDaemon:
         self.cycles_run += 1
         if self.slo is not None:
             now = clock.now
-            self.slo.record(self.slo_scope, "cycle_latency",
+            self.slo.record("daemon", "cycle_latency",
                             now - cycle_start, now)
             pool = self.checker.pool_vm_names()
             if pool:
-                self.slo.record(self.slo_scope, "coverage",
+                self.slo.record("daemon", "coverage",
                                 len(active) / len(pool), now)
             for alert in new_alerts:
                 if alert.kind in ("integrity", "hidden-module"):
-                    self.slo.record(self.slo_scope, "detection_latency",
+                    self.slo.record("daemon", "detection_latency",
                                     alert.time - cycle_start, now)
             self.last_slo_status = self.slo.evaluate(now)
         if obs.metrics.enabled:
@@ -631,7 +585,7 @@ class CheckDaemon:
                                 alerts=new_alerts,
                                 quarantined=len(self.health.open_vms()))
             record_breaker_states(obs.metrics, self.health)
-            if self.scope is None:
+            if not scoped:
                 # Scoped daemons share one registry with their sibling
                 # shards; the cumulative membership counters carry no
                 # per-pool label, so per-shard publication would fight
@@ -643,7 +597,7 @@ class CheckDaemon:
                     events=self.membership_log)
             if self.chaos is not None and hasattr(self.chaos, "stats"):
                 record_chaos_stats(obs.metrics, self.chaos.stats)
-        if self.advance_clock:
+        if not self.checker.hv.charges_deferred:
             clock.advance(self.interval)
         return new_alerts
 

@@ -18,7 +18,7 @@ import hashlib
 from typing import Callable, NamedTuple
 
 from ..obs import NULL_OBS, Observability
-from ..perf.costmodel import DEFAULT_COST_MODEL, CostModel
+from ..perf.costmodel import DEFAULT_COST_MODEL
 from .parser import ParsedModule
 from .report import PairComparison, PoolReport, VMCheckReport, VMVerdict
 from .rva import ADJUSTERS, RvaAdjustStats
@@ -65,7 +65,6 @@ class IntegrityChecker:
 
     def __init__(self, *, rva_mode: str = "robust",
                  hash_algorithm: str = "md5",
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  charge: Callable[[float], None] | None = None,
                  obs: Observability = NULL_OBS) -> None:
         if rva_mode not in ADJUSTERS:
@@ -78,7 +77,7 @@ class IntegrityChecker:
         self.rva_mode = rva_mode
         self.hash_algorithm = hash_algorithm
         self._adjust = ADJUSTERS[rva_mode]
-        self.costs = cost_model
+        self.costs = DEFAULT_COST_MODEL
         self._charge = charge or _no_charge
         self.obs = obs
 

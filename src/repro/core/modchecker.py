@@ -34,7 +34,7 @@ from ..obs import (NULL_OBS, Observability, record_fault_stats,
                    record_manifest_stats, record_pool_report,
                    record_repair_stats, record_stage_timings,
                    record_trap_stats, record_vmi_instance)
-from ..perf.costmodel import DEFAULT_COST_MODEL, CostModel
+from ..perf.costmodel import DEFAULT_COST_MODEL
 from ..perf.timing import ComponentTimings
 from ..vmi.cache import CheckManifest, LRUCache, ManifestStore
 from ..vmi.core import VMIInstance, VMIStats
@@ -178,13 +178,11 @@ class ModChecker:
                  hash_algorithm: str = "md5",
                  enable_caches: bool = True,
                  flush_caches_each_round: bool = True,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  retry: RetryPolicy | None = DEFAULT_RETRY_POLICY,
                  obs: Observability = NULL_OBS,
                  evidence: "EvidenceRecorder | None" = None,
                  incremental: bool = False,
                  recheck_ttl: float | None = None,
-                 manifest_capacity: int = 1024,
                  event_driven: bool = False,
                  paranoia_every: int | None = 64,
                  repair_policy: str = "detect-only",
@@ -210,7 +208,8 @@ class ModChecker:
         #: whatever names the closure returns *right now* instead of
         #: every guest on the hypervisor. This is how a fleet shard
         #: scopes its checker to the shard's own VMs while sharing one
-        #: hypervisor with every sibling shard.
+        #: hypervisor with every sibling shard; a daemon over this
+        #: checker watches the same names.
         self.members = members
         if profile is None:
             guests = hypervisor.guests()
@@ -218,7 +217,7 @@ class ModChecker:
                 raise InsufficientPool("no guests to derive a profile from")
             profile = OSProfile.from_guest(guests[0].kernel)
         self.profile = profile
-        self.costs = cost_model
+        self.costs = DEFAULT_COST_MODEL
         self.enable_caches = enable_caches
         self.flush_caches_each_round = flush_caches_each_round
         self.retry = retry
@@ -244,7 +243,7 @@ class ModChecker:
         self.trap_pages_checked = 0
         self.trap_fallbacks: dict[str, int] = {}
         self.recheck_ttl = recheck_ttl
-        self.manifests = ManifestStore(manifest_capacity, ttl=recheck_ttl)
+        self.manifests = ManifestStore(ttl=recheck_ttl)
         #: the replay store of both pool votes (see :meth:`_replay`):
         #: (module, vm_a, vm_b) -> (key_a, key_b, PairComparison) and
         #: ("canonical", module, counterpart, member) -> (key_c, key_m,
@@ -263,11 +262,9 @@ class ModChecker:
         #: cumulative VMI metrics survive re-attach (reboot churn)
         #: without ever running backwards
         self._vmi_stats_base: dict[str, "VMIStats"] = {}
-        self.parser = ModuleParser(cost_model=cost_model,
-                                   charge=self._charge, obs=obs)
+        self.parser = ModuleParser(charge=self._charge, obs=obs)
         self.checker = IntegrityChecker(rva_mode=rva_mode,
                                         hash_algorithm=hash_algorithm,
-                                        cost_model=cost_model,
                                         charge=self._charge, obs=obs)
         # Imported here, not at module top: repair pulls in the
         # forensics package, whose bundle machinery reaches back into
@@ -311,7 +308,6 @@ class ModChecker:
             vmi = None
         if vmi is None:
             vmi = VMIInstance(self.hv, vm_name, self.profile,
-                              cost_model=self.costs,
                               enable_caches=self.enable_caches,
                               retry=self.retry, batch=self.batch,
                               obs=self.obs)

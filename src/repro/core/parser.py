@@ -18,7 +18,7 @@ from typing import Callable
 
 from ..obs import NULL_OBS, Observability
 from ..pe.parser import PEImage, Region
-from ..perf.costmodel import DEFAULT_COST_MODEL, CostModel
+from ..perf.costmodel import DEFAULT_COST_MODEL
 from .searcher import ModuleCopy
 
 __all__ = ["ParsedModule", "ModuleParser"]
@@ -52,10 +52,9 @@ class ParsedModule:
 class ModuleParser:
     """Parses :class:`ModuleCopy` buffers into hashable regions."""
 
-    def __init__(self, *, cost_model: CostModel = DEFAULT_COST_MODEL,
-                 charge: Callable[[float], None] | None = None,
+    def __init__(self, *, charge: Callable[[float], None] | None = None,
                  obs: Observability = NULL_OBS) -> None:
-        self.costs = cost_model
+        self.costs = DEFAULT_COST_MODEL
         self._charge = charge or _no_charge
         self.obs = obs
 

@@ -518,6 +518,11 @@ class Hypervisor:
         finally:
             self._sinks.pop()
 
+    @property
+    def charges_deferred(self) -> bool:
+        """True inside :meth:`deferred_charges`: the caller owns the clock."""
+        return bool(self._sinks)
+
 
 class _ChargeSink:
     """Raw Dom0 CPU-seconds collected by one :meth:`deferred_charges`."""

@@ -32,7 +32,7 @@ from ..hypervisor.xen import Hypervisor
 from ..mem.paging import LARGE_PAGE_SIZE, PDE_LARGE, PTE_PRESENT, walk_batch
 from ..mem.physical import PAGE_SIZE
 from ..obs import NULL_OBS, Observability
-from ..perf.costmodel import DEFAULT_COST_MODEL, CostModel
+from ..perf.costmodel import DEFAULT_COST_MODEL
 from .cache import PageCache, V2PCache
 from .retry import RetryPolicy
 from .symbols import OSProfile
@@ -96,7 +96,6 @@ class VMIInstance:
 
     def __init__(self, hypervisor: Hypervisor, domain_key: int | str,
                  profile: OSProfile, *,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
                  enable_caches: bool = True,
                  retry: RetryPolicy | None = None,
                  batch: bool = True,
@@ -115,7 +114,7 @@ class VMIInstance:
         if not self.domain.is_guest:
             raise VMIInitError(f"{self.domain.name} is not introspectable")
         self.profile = profile
-        self.costs = cost_model
+        self.costs = DEFAULT_COST_MODEL
         self.enable_caches = enable_caches
         self.retry = retry
         self.v2p_cache = V2PCache()

@@ -236,7 +236,7 @@ class TestMembershipUnderChurn:
         breaker and every placement always refers to a shard member,
         every live guest is placed in exactly one key-matching shard,
         and fleet totals never run backwards."""
-        tb, fleet = make_fleet(24, shard_size=4, quorum_floor=2)
+        tb, fleet = make_fleet(24, shard_size=4)
         engine = ChaosEngine(
             tb.hypervisor, ChaosConfig.from_churn_rate(0.25),
             seed=SEED, catalog={m: tb.catalog[m] for m in

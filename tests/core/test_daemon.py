@@ -5,8 +5,8 @@ import pytest
 from repro.attacks import RuntimeCodePatchAttack
 from repro.cloud import build_testbed
 from repro.core import ModChecker
-from repro.core.daemon import (AdaptivePolicy, Alert, AlertLog, CheckDaemon,
-                               PriorityPolicy, RoundRobinPolicy)
+from repro.core.daemon import (Alert, AlertLog, CheckDaemon, PriorityPolicy,
+                               RoundRobinPolicy)
 
 
 @pytest.fixture
@@ -49,17 +49,6 @@ class TestPolicies:
         for cycle in range(4):
             picked = policy.select(cycle, self.MODULES, AlertLog())
             assert picked[0] == "a" and picked[1] == "c"
-
-    def test_adaptive_rechecks_offenders(self):
-        policy = AdaptivePolicy(per_cycle=1, cooldown=2)
-        log = AlertLog()
-        policy.note_outcome("b", alarmed=True)
-        assert "b" in policy.select(1, self.MODULES, log)
-        policy.note_outcome("b", alarmed=False)
-        assert "b" in policy.select(2, self.MODULES, log)
-        policy.note_outcome("b", alarmed=False)
-        # cooldown exhausted: back to normal rotation
-        assert "b" not in policy.select(0, self.MODULES, log)
 
 
 class TestAlertLog:
@@ -109,15 +98,55 @@ class TestDaemon:
         assert hidden[0].module == "dummy.sys"
         assert hidden[0].flagged_vms == ("Dom1",)
 
-    def test_adaptive_daemon_watches_offender(self, tb, mc):
-        RuntimeCodePatchAttack().apply(
-            tb.hypervisor.domain("Dom2").kernel, tb.catalog["hal.dll"])
-        policy = AdaptivePolicy(per_cycle=1, cooldown=2)
-        daemon = CheckDaemon(mc, policy, carve=False)
-        # first cycles rotate until hal.dll is hit, then it sticks
-        daemon.run(12)
-        hal_alerts = daemon.log.for_module("hal.dll")
-        assert len(hal_alerts) >= 3   # re-checked every cycle once seen
+    def test_clock_moves_only_outside_deferred_charges(self, tb, mc,
+                                                       monkeypatch):
+        """Inside ``deferred_charges`` the caller owns the clock: a cycle
+        leaves it alone. Outside, the cycle's Dom0 work moves it and the
+        cycle then advances it by exactly ``interval``."""
+        hv = tb.hypervisor
+        daemon = CheckDaemon(mc, RoundRobinPolicy(per_cycle=2),
+                             interval=30.0, carve=False)
+        t0 = tb.clock.now
+        with hv.deferred_charges() as acc:
+            assert hv.charges_deferred
+            daemon.run_cycle()
+        assert not hv.charges_deferred
+        assert acc.total > 0
+        assert tb.clock.now == t0
+
+        elapsed = []
+        charge = hv.charge_dom0
+        monkeypatch.setattr(hv, "charge_dom0",
+                            lambda cpu: elapsed.append(charge(cpu))
+                            or elapsed[-1])
+        daemon.run_cycle()
+        assert sum(elapsed) > 0
+        assert tb.clock.now - t0 == pytest.approx(sum(elapsed) + 30.0,
+                                                  rel=0, abs=1e-9)
+
+    def test_scope_comes_from_checker_members(self, tb):
+        """A daemon over a scoped checker watches only its members and,
+        sharing its registry with sibling pools, publishes no
+        membership series."""
+        from repro.obs import make_observability
+        obs = make_observability(tb.clock)
+        members = ["Dom1", "Dom2", "Dom3"]
+        mc = ModChecker(tb.hypervisor, tb.profile, obs=obs,
+                        members=lambda: list(members))
+        daemon = CheckDaemon(mc, RoundRobinPolicy(per_cycle=2),
+                             carve=False)
+        assert sorted(daemon._seen_generation) == members
+        daemon.run_cycle()
+        assert sorted(daemon._seen_generation) == members
+        assert daemon.checker.pool_vm_names() == members
+        assert daemon.membership_log == []
+        members.remove("Dom3")
+        daemon.run_cycle()
+        assert [(e, vm) for _, e, vm in daemon.membership_log] == \
+            [("evict", "Dom3")]
+        assert "Dom4" not in daemon._seen_generation
+        assert "modchecker_membership_events_total" \
+            not in obs.metrics.to_prometheus()
 
     def test_invalid_interval(self, mc):
         with pytest.raises(ValueError):

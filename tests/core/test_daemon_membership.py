@@ -105,11 +105,6 @@ class TestManualMembership:
 
 
 class TestQuorumFloor:
-    def test_quorum_floor_validated(self, env):
-        _, checker, _ = env
-        with pytest.raises(ValueError, match="quorum_floor"):
-            CheckDaemon(checker, quorum_floor=1)
-
     def test_starved_pool_degrades_not_crashes(self, env):
         _, _, daemon = env
         for vm in daemon.checker.pool_vm_names():

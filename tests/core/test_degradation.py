@@ -14,7 +14,7 @@ import pytest
 
 from repro.attacks.memory import LdrDecoyAttack
 from repro.cloud import build_testbed, stage_experiment
-from repro.core import CheckDaemon, ModChecker
+from repro.core import BreakerConfig, CheckDaemon, ModChecker
 from repro.core.daemon import RoundRobinPolicy
 from repro.errors import InsufficientPool, RetryExhausted
 from repro.hypervisor import FaultConfig, FaultInjector
@@ -122,7 +122,7 @@ class TestDaemonQuarantine:
 
     def test_quarantine_and_recovery(self):
         tb = build_testbed(4, seed=SEED)
-        daemon = self._daemon(tb, quarantine_cycles=2)
+        daemon = self._daemon(tb, breaker=BreakerConfig(open_cycles=2))
         injector = _sick_injector("Dom3")
         injector.install(tb.hypervisor)
         alerts = daemon.run_cycle()

@@ -249,3 +249,74 @@ class TestFleet:
         text = path.read_text()
         assert rc == 0
         assert "modchecker_fleet_vm_checks_total" in text
+
+
+def _usage_error(argv: list[str], capsys) -> str:
+    """Run ``argv``; assert it is a usage error (exit 2), return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Out-of-range values fail at parse time with exit 2, naming the
+    flag, on every subcommand (fleet too: argparse's status)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--fault-rate", "2"], "--fault-rate"),
+        (["check", "--fault-rate", "abc"], "--fault-rate"),
+        (["fleet", "--fault-rate", "-0.1"], "--fault-rate"),
+        (["daemon", "--churn-rate", "3"], "--churn-rate"),
+        (["fleet", "--churn-rate", "3"], "--churn-rate"),
+        (["chaos", "--churn-rate", "0"], "--churn-rate"),
+        (["check", "--recheck-ttl", "0"], "--recheck-ttl"),
+        (["daemon", "--recheck-ttl", "-5"], "--recheck-ttl"),
+        (["check", "--repair-attempts", "0"], "--repair-attempts"),
+        (["fleet", "--repair-attempts", "0"], "--repair-attempts"),
+        (["fleet", "--workers", "0"], "--workers"),
+        (["fleet", "--shard-size", "0"], "--shard-size"),
+        (["fleet", "--interval", "0"], "--interval"),
+        (["daemon", "--interval", "0"], "--interval"),
+        (["chaos", "--interval", "-1"], "--interval"),
+        (["check", "--vms", "0"], "--vms"),
+        (["fleet", "--vms", "0"], "--vms"),
+        (["chaos", "--vms", "0"], "--vms"),
+        (["hidden", "--vms", "0"], "--vms"),
+        (["profile", "--vms", "0"], "--vms"),
+    ])
+    def test_out_of_range_is_usage_error(self, argv, flag, capsys):
+        err = _usage_error(argv, capsys)
+        assert f"argument {flag}" in err
+
+    def test_no_batch_is_gone(self, capsys):
+        assert "--no-batch" in _usage_error(
+            ["check", "--vms", "3", "--no-batch"], capsys)
+
+
+class TestFlagsHonoured:
+    """Every flag a subcommand accepts takes effect."""
+
+    def test_sweep_writes_evidence(self, tmp_path, capsys):
+        rc = main(["sweep", "--vms", "4", "--infect", "E1",
+                   "--evidence-out", str(tmp_path)])
+        assert rc == 1
+        assert sorted(p.name for p in tmp_path.iterdir())
+        assert "(forensics) captured" in capsys.readouterr().out
+
+    def test_explain_writes_evidence(self, tmp_path, capsys):
+        rc = main(["explain", "--vms", "4", "--infect", "E1",
+                   "--evidence-out", str(tmp_path)])
+        assert rc == 1
+        names = [p.name for p in tmp_path.iterdir()]
+        assert len(names) == 1 and names[0].startswith("incident-0001")
+        assert "(forensics) captured 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--retry", "5"], ["--incremental"], ["--event-driven"],
+        ["--recheck-ttl", "5"], ["--evidence-out", "unused"],
+        ["--no-batch"], ["--repair"],
+    ])
+    def test_dump_takes_no_checker_flags(self, flags, capsys):
+        err = _usage_error(["dump", "--vms", "3", *flags], capsys)
+        assert flags[0] in err

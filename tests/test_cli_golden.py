@@ -17,7 +17,9 @@ Refreshing after an INTENTIONAL behaviour change::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -54,49 +56,35 @@ def _file_sha(path: Path) -> str | None:
     return _sha(path.read_text()) if path.exists() else None
 
 
-def run(command: str, tmp_path: Path, capsys) -> dict:
+def run(command: str, out_dir: Path) -> dict:
     """Run one command; return what the golden records for it."""
-    metrics, events = tmp_path / "metrics.prom", tmp_path / "events.jsonl"
-    capsys.readouterr()
-    rc = main(command.split() + ["--metrics-out", str(metrics),
-                                 "--events-out", str(events)])
-    stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    metrics, events = out_dir / "metrics.prom", out_dir / "events.jsonl"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(command.split() + ["--metrics-out", str(metrics),
+                                     "--events-out", str(events)])
     return {"rc": rc,
-            "stdout_sha256": _sha(stdout),
+            "stdout_sha256": _sha(
+                stdout.getvalue().replace(str(out_dir), "<tmp>")),
             "metrics_sha256": _file_sha(metrics),
             "events_sha256": _file_sha(events)}
 
 
 @pytest.fixture(scope="module")
-def golden(request) -> dict:
+def golden(request, tmp_path_factory) -> dict:
     if request.config.getoption("--update-golden"):
-        return {}
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(
+            {c: run(c, tmp_path_factory.mktemp("cli")) for c in COMMANDS},
+            indent=2, sort_keys=True) + "\n")
+        pytest.skip("golden refreshed; re-run without --update-golden")
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.fixture(scope="module")
-def recorded(request):
-    """Collects fresh runs under --update-golden; writes them at the end."""
-    runs: dict = {}
-    yield runs
-    if request.config.getoption("--update-golden") and runs:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-        GOLDEN.write_text(json.dumps({**old, **runs}, indent=2,
-                                     sort_keys=True) + "\n")
-
-
-def test_golden_covers_every_command(golden, request):
-    if request.config.getoption("--update-golden"):
-        pytest.skip("golden being refreshed")
+def test_golden_covers_every_command(golden):
     assert sorted(golden) == sorted(COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_matches_golden(command, golden, recorded, request, tmp_path,
-                        capsys):
-    got = run(command, tmp_path, capsys)
-    if request.config.getoption("--update-golden"):
-        recorded[command] = got
-        pytest.skip("golden refreshed; re-run without --update-golden")
-    assert got == golden[command]
+def test_matches_golden(golden, command, tmp_path):
+    assert run(command, tmp_path) == golden[command]
