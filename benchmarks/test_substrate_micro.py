@@ -110,6 +110,43 @@ def test_bench_vmi_read_image_batch(benchmark, image_env):
     assert image[:2] == b"MZ"
 
 
+@pytest.fixture(scope="module")
+def warm_walk_env(catalog):
+    """A session whose list pages are all in both Dom0 caches."""
+    hv = Hypervisor()
+    hv.create_guest("Dom1", catalog, seed=1)
+    profile = OSProfile.from_guest(hv.domain("Dom1").kernel)
+    vmi = VMIInstance(hv, "Dom1", profile)
+    searcher = ModuleSearcher(vmi)
+    searcher.list_modules()                 # cold: fills both caches
+    return vmi, searcher
+
+
+def test_bench_walk_warm_real(benchmark, warm_walk_env):
+    """A warm LDR walk that re-issues its reads (record dropped first).
+
+    Paired with :func:`test_bench_walk_replayed`: the ratio of the two
+    means is the ``walk-replay-speedup`` wall-clock tier.
+    """
+    vmi, searcher = warm_walk_env
+
+    def walk():
+        vmi.walk_record = None
+        return searcher.list_modules()
+
+    entries = benchmark(walk)
+    assert len(entries) == 10
+
+
+def test_bench_walk_replayed(benchmark, warm_walk_env):
+    """The same warm walk served from the session's record."""
+    vmi, searcher = warm_walk_env
+    searcher.list_modules()                 # (re-)record
+    entries = benchmark(searcher.list_modules)
+    assert len(entries) == 10
+    assert vmi.walk_record is not None
+
+
 def test_bench_pool_check_scales(benchmark, tb15):
     """One full 15-VM pool check — the paper-scale operation."""
     mc = ModChecker(tb15.hypervisor, tb15.profile)

@@ -397,9 +397,11 @@ class CheckDaemon:
         modules loaded after the daemon started get monitored too, and
         it is the *union* over the active pool — a module DKOM-hidden
         on one VM stays monitored via every other VM's list. A VM whose
-        walk faults is skipped; if every active VM fails, the last
-        known list is reused (or :class:`InsufficientPool` is raised
-        when there never was one).
+        walk faults — transiently, or permanently on a corrupt list
+        (cyclic, NULL FLINK) — is skipped; its checks degrade it on
+        their own. If every active VM fails, the last known list is
+        reused (or :class:`InsufficientPool` is raised when there never
+        was one).
         """
         stale = (self._force_rediscover
                  or self._modules is None
@@ -420,7 +422,7 @@ class CheckDaemon:
                 if self.checker.flush_caches_each_round:
                     vmi.flush_caches()
                 entries = ModuleSearcher(vmi).list_modules()
-            except (TransientFault, RetryExhausted):
+            except IntrospectionFault:
                 continue
             walked = True
             for entry in entries:

@@ -10,7 +10,14 @@ page by page into a local Dom0 buffer.
 Defences a real introspection tool needs are kept: a traversal bound
 (a malicious guest could loop the list), pointer sanity checks, and a
 fault-tolerant name read (an unmapped name page skips the node rather
-than crashing the checker).
+than crashing the checker; a transient fault still propagates, so the
+caller degrades the VM instead of silently losing a module).
+
+A walk served entirely from the session's V2P and page caches is
+recorded on the :class:`~repro.vmi.core.VMIInstance`; while every page
+it read is still cached as recorded, the next walk replays the
+recorded accounting and entries instead of re-issuing the reads
+(:meth:`VMIInstance.replay_walk <repro.vmi.core.VMIInstance.replay_walk>`).
 """
 
 from __future__ import annotations
@@ -71,14 +78,56 @@ class ModuleSearcher:
     # -- list walking -----------------------------------------------------------
 
     def list_modules(self) -> list[ModuleListEntry]:
-        """Decode every node of PsLoadedModuleList, in load order."""
+        """Decode every node of PsLoadedModuleList, in load order.
+
+        On a live session a warm walk is replayed from the session's
+        record when every page it read is still cached as recorded;
+        the result and all accounting equal re-running it.
+        """
         with self.obs.tracer.span("searcher.walk",
                                   vm=self.vmi.domain.name) as span:
-            entries = self._walk_module_list()
+            entries = self._replay_or_walk()
             span.set(entries=len(entries))
         return entries
 
-    def _walk_module_list(self) -> list[ModuleListEntry]:
+    def _replay_or_walk(self) -> list[ModuleListEntry]:
+        vmi = self.vmi
+        if not isinstance(vmi, VMIInstance):
+            return self._walk_module_list()     # offline: no caches
+        replayed = vmi.replay_walk()            # drops a stale record
+        if replayed is not None:
+            return list(replayed)
+        before = vmi.read_counters()
+        nodes: list[tuple[int, tuple[int, int] | None]] = []
+        entries = self._walk_module_list(nodes)
+        vmi.record_walk(before, self._walk_reads(nodes), entries)
+        return entries
+
+    def _walk_reads(self, nodes):
+        """The ``(va, length)`` reads a walk over ``nodes`` issued.
+
+        ``nodes`` holds ``(cursor, name_read)`` per visited node, as
+        :meth:`_walk_module_list` collects it; the read sequence is
+        derived here, after the walk, so the loop itself pays one
+        append per node rather than a hook per read.
+        """
+        profile = self.vmi.profile
+        off_base = profile.offset("LDR_DATA_TABLE_ENTRY.DllBase")
+        off_entry = profile.offset("LDR_DATA_TABLE_ENTRY.EntryPoint")
+        off_size = profile.offset("LDR_DATA_TABLE_ENTRY.SizeOfImage")
+        off_name = profile.offset("LDR_DATA_TABLE_ENTRY.BaseDllName")
+        yield self.vmi.symbol("PsLoadedModuleList"), 4      # head.FLINK
+        for cursor, name_read in nodes:
+            yield cursor + off_base, 4
+            yield cursor + off_entry, 4
+            yield cursor + off_size, 4
+            yield cursor + off_name, UnicodeString.SIZE
+            if name_read is not None:
+                yield name_read
+            yield cursor, 4                                 # node.FLINK
+
+    def _walk_module_list(self, nodes: list | None = None,
+                          ) -> list[ModuleListEntry]:
         profile = self.vmi.profile
         head = self.vmi.symbol("PsLoadedModuleList")
         off_base = profile.offset("LDR_DATA_TABLE_ENTRY.DllBase")
@@ -100,22 +149,36 @@ class ModuleSearcher:
             dll_base = self.vmi.read_u32(cursor + off_base)
             entry_point = self.vmi.read_u32(cursor + off_entry)
             size = self.vmi.read_u32(cursor + off_size)
-            name = self._read_name(cursor + off_name)
+            name, name_read = self._read_name(cursor + off_name)
+            if nodes is not None:
+                nodes.append((cursor, name_read))
             if name is not None:
                 entries.append(ModuleListEntry(name, dll_base, entry_point,
                                                size, cursor))
             cursor = self.vmi.read_u32(cursor)      # node.FLINK
         return entries
 
-    def _read_name(self, us_va: int) -> str | None:
+    def _read_name(self, us_va: int,
+                   ) -> tuple[str | None, tuple[int, int] | None]:
+        """``(name, (buffer, length))`` of a ``BaseDllName``.
+
+        The second item is the buffer read issued, or None when the
+        header rejected it. A permanent fault (unmapped name page)
+        yields no name, so the node is skipped; a transient fault or
+        spent retry budget propagates, exactly like any other walk
+        read, so the VM is degraded rather than reported short.
+        """
         try:
             us = UnicodeString.unpack(self.vmi.read_va(us_va,
                                                        UnicodeString.SIZE))
             if us.buffer == 0 or us.length == 0 or us.length > 512:
-                return None
-            return us.decode(self.vmi.read_va(us.buffer, us.length))
+                return None, None
+            return (us.decode(self.vmi.read_va(us.buffer, us.length)),
+                    (us.buffer, us.length))
+        except (TransientFault, RetryExhausted):
+            raise
         except IntrospectionFault:
-            return None
+            return None, None
 
     # -- incremental fast path ---------------------------------------------------
 

@@ -21,6 +21,10 @@ change what the checker would see: a boot-generation bump, a page
 delta, an entry relocation, an explicit membership/breaker/migration
 invalidation, or the full-recheck TTL expiring.
 
+A warm LDR walk is served from the two caches without issuing a read
+(:meth:`VMIInstance.replay_walk`): :meth:`LRUCache.replay_hits` leaves
+an LRU exactly where the walk's run of hits would.
+
 Accounting discipline: manifest lookups are *not* page-cache accesses.
 The store keeps its own hit/miss/invalidation counters and consults
 its internal LRU map through :meth:`LRUCache.peek` — a stats-neutral
@@ -76,6 +80,21 @@ class LRUCache(Generic[K, V]):
         the asymmetry that once let a derived hit-rate exceed 1.0.
         """
         return self._data.get(key)
+
+    def replay_hits(self, keys: tuple[K, ...], hits: int) -> None:
+        """Leave the state a run of ``hits`` :meth:`get` hits leaves.
+
+        ``keys`` are the run's keys, each once, in order of its *last*
+        access; all must be present. Every hit moves its key to the MRU
+        end, so after the run the touched keys sit behind every
+        untouched one, ordered by last access: promoting them in that
+        order reproduces the ``OrderedDict`` exactly. No eviction can
+        occur (a hit never inserts).
+        """
+        move = self._data.move_to_end
+        for key in keys:
+            move(key)
+        self.hits += hits
 
     def put(self, key: K, value: V) -> None:
         self._data[key] = value

@@ -13,7 +13,8 @@ Faithful properties:
   write_va_range`, exists solely for the privileged remediation engine
   and goes through the hypervisor's protected-frame rules;
 * **caches** — optional V2P and page caches as in libvmi, flushable
-  between checking rounds;
+  between checking rounds; a walk that ran entirely in them is
+  replayed from a :class:`WalkRecord` (:meth:`VMIInstance.replay_walk`);
 * **cost accounting** — each primitive charges the Dom0 CPU through the
   hypervisor's contention model, producing the simulated runtimes of
   Figs. 7–9.
@@ -37,7 +38,7 @@ from .cache import PageCache, V2PCache
 from .retry import RetryPolicy
 from .symbols import OSProfile
 
-__all__ = ["BATCH_MIN_PAGES", "VMIStats", "VMIInstance"]
+__all__ = ["BATCH_MIN_PAGES", "VMIStats", "VMIInstance", "WalkRecord"]
 
 _PAGE_MASK = PAGE_SIZE - 1
 
@@ -91,6 +92,34 @@ class VMIStats:
         return VMIStats(**vars(self))
 
 
+@dataclass(frozen=True)
+class WalkRecord:
+    """A walk whose every read was a single-page hit in both caches.
+
+    Such a read makes no hypervisor call: it returns
+    ``page_cache[v2p[page_va] >> 12][off:off + n]`` and charges one
+    ``small_read``. So while each page still translates to ``pa_page``
+    and its frame is still cached as the same ``bytes`` object, a
+    re-run would read the same bytes, follow the same pointers and
+    return the same entries; :meth:`VMIInstance.replay_walk` replays
+    its side effects instead.
+    """
+
+    entries: tuple
+    #: ``(page_va, pa_page, frame bytes)`` per distinct page read
+    pages: tuple[tuple[int, int, bytes], ...]
+    #: each cache's touched keys, in order of last access
+    v2p_order: tuple[int, ...]
+    frame_order: tuple[int, ...]
+    reads: int
+    bytes_read: int
+
+
+def _last_access_order(keys: list[int]) -> tuple[int, ...]:
+    """Distinct ``keys``, ordered by the position of their last use."""
+    return tuple(reversed(dict.fromkeys(reversed(keys))))
+
+
 class VMIInstance:
     """An introspection session attached to one guest domain."""
 
@@ -120,6 +149,8 @@ class VMIInstance:
         self.v2p_cache = V2PCache()
         self.page_cache = PageCache()
         self.stats = VMIStats()
+        #: the last all-hit walk, served by :meth:`replay_walk`
+        self.walk_record: WalkRecord | None = None
         self.cr3 = hypervisor.guest_cr3(domain_key)
         #: the guest's boot generation at attach time; a reboot swaps
         #: the whole address space (new CR3, new page tables), so any
@@ -138,6 +169,102 @@ class VMIInstance:
         self.page_cache.flush()
         self.v2p_cache.reset_stats()
         self.page_cache.reset_stats()
+        self.walk_record = None
+
+    # -- walk replay --------------------------------------------------------------
+
+    def read_counters(self) -> tuple[int, int, int, int, int]:
+        """The counters :meth:`record_walk` compares across a walk."""
+        s = self.stats
+        return (s.translations, s.pages_mapped, s.read_calls,
+                s.translation_cache_hits, s.page_cache_hits)
+
+    def record_walk(self, before: tuple[int, int, int, int, int],
+                    reads, entries) -> None:
+        """Keep a :class:`WalkRecord` if the walk ran entirely in cache.
+
+        ``before`` is :meth:`read_counters` taken before the walk,
+        ``reads`` the walk's ``(va, length)`` reads in issue order (an
+        iterable, consumed only for a warm walk), ``entries`` its
+        result. The walk qualifies when caches are on, it translated
+        and mapped nothing, and each of ``read_calls`` and both cache
+        hit counters grew by exactly one per read, every read lying
+        within one page. Any other walk leaves no record.
+        """
+        self.walk_record = None
+        translations, mapped, calls, v2p_hits, page_hits = before
+        s = self.stats
+        n = s.read_calls - calls
+        if not self.enable_caches or s.translations != translations \
+                or s.pages_mapped != mapped \
+                or s.translation_cache_hits - v2p_hits != n \
+                or s.page_cache_hits - page_hits != n:
+            return
+        reads = list(reads)
+        if len(reads) != n:
+            return
+        v2p, frames = self.v2p_cache.peek, self.page_cache.peek
+        pages: dict[int, tuple[int, int, bytes]] = {}
+        page_seq: list[int] = []
+        frame_seq: list[int] = []
+        total = 0
+        for va, length in reads:
+            offset = va & _PAGE_MASK
+            if length <= 0 or offset + length > PAGE_SIZE:
+                return
+            page_va = va - offset
+            if page_va not in pages:
+                pa_page = v2p(page_va)
+                frame = None if pa_page is None else frames(pa_page >> 12)
+                if frame is None:
+                    return
+                pages[page_va] = (page_va, pa_page, frame)
+            page_seq.append(page_va)
+            frame_seq.append(pages[page_va][1] >> 12)
+            total += length
+        self.walk_record = WalkRecord(
+            tuple(entries), tuple(pages.values()),
+            _last_access_order(page_seq), _last_access_order(frame_seq),
+            n, total)
+
+    def replay_walk(self) -> tuple | None:
+        """The recorded walk's entries, with its accounting replayed.
+
+        Checks with stats-neutral peeks only that every recorded page
+        still translates to the recorded PA and that its frame is still
+        cached as the identical ``bytes`` object. If so, leaves every
+        counter, LRU order and Dom0 charge where re-running the walk's
+        reads would — one ``small_read`` charge per read, in sequence,
+        so deferred float sums stay bit-identical — and returns the
+        recorded entries. Otherwise drops the record and returns None.
+        """
+        rec = self.walk_record
+        if rec is None:
+            return None
+        v2p, frames = self.v2p_cache.peek, self.page_cache.peek
+        if not self.enable_caches or any(
+                v2p(page_va) != pa_page or frames(pa_page >> 12) is not frame
+                for page_va, pa_page, frame in rec.pages):
+            self.walk_record = None
+            return None
+        n = rec.reads
+        self.v2p_cache.replay_hits(rec.v2p_order, n)
+        self.page_cache.replay_hits(rec.frame_order, n)
+        s = self.stats
+        s.translation_cache_hits += n
+        s.page_cache_hits += n
+        s.bytes_read += rec.bytes_read
+        s.read_calls += n
+        charge, cost = self.hv.charge_dom0, self.costs.small_read
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            for _ in range(n):
+                charge(cost)
+                tracer.charge("small_read", cost)
+        else:
+            for _ in range(n):
+                charge(cost)
+        return rec.entries
 
     # -- translation ------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Unit tests for the checking daemon and scheduling policies."""
 
+import struct
+
 import pytest
 
 from repro.attacks import RuntimeCodePatchAttack
@@ -151,6 +153,38 @@ class TestDaemon:
     def test_invalid_interval(self, mc):
         with pytest.raises(ValueError):
             CheckDaemon(mc, interval=0)
+
+    @pytest.mark.parametrize("flink", ["self", "null"])
+    def test_corrupt_module_list_skips_vm(self, tb, mc, monkeypatch, flink):
+        """One guest's corrupt list (a cyclic or NULL FLINK) must not
+        crash the cycle: discovery skips that VM, the union comes from
+        the others, and the VM's own checks degrade it."""
+        daemon = CheckDaemon(mc, RoundRobinPolicy(per_cycle=1), carve=False)
+        daemon.run_cycle()
+        modules = list(daemon._modules)
+        kernel = tb.hypervisor.domain("Dom2").kernel
+        head = kernel.symbols["PsLoadedModuleList"]
+        first = struct.unpack("<I", kernel.aspace.read(head, 4))[0]
+        kernel.aspace.write(
+            first, struct.pack("<I", first if flink == "self" else 0))
+        reports = []
+        check_pool = mc.check_pool
+
+        def recording(*args, **kwargs):
+            outcome = check_pool(*args, **kwargs)
+            reports.append(outcome.report)
+            return outcome
+
+        monkeypatch.setattr(mc, "check_pool", recording)
+        cycle = daemon.cycles_run
+        daemon.run_cycle()
+        assert daemon.cycles_run == cycle + 1
+        assert daemon._modules == modules
+        assert daemon._modules_cycle == cycle
+        assert reports
+        for report in reports:
+            assert report.degraded["Dom2"].startswith("unreadable:")
+            assert "Dom2" not in report.verdicts
 
 
 class TestDaemonCrossView:

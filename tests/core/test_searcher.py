@@ -4,9 +4,11 @@ import struct
 
 import pytest
 
-from repro.errors import IntrospectionFault, ModuleNotLoadedError
+from repro.errors import (IntrospectionFault, ModuleNotLoadedError,
+                          TransientFault)
 from repro.core.searcher import ModuleSearcher
 from repro.hypervisor import Hypervisor
+from repro.hypervisor.faults import FaultConfig, FaultInjector
 from repro.vmi import OSProfile, VMIInstance
 
 
@@ -131,3 +133,31 @@ class TestHostileGuest:
         kernel.unload_module("dummy.sys")    # unlink, image stays mapped
         with pytest.raises(ModuleNotLoadedError):
             searcher.find("dummy.sys")
+
+
+class TestTransientNameFault:
+    """A transient fault on a ``BaseDllName`` read must propagate like
+    any other walk read: swallowing it would report a short list (the
+    module "not loaded") instead of degrading the VM."""
+
+    def _walk(self, catalog, seed):
+        hv = Hypervisor()
+        hv.create_guest("Dom1", catalog, seed=1)
+        profile = OSProfile.from_guest(hv.domain("Dom1").kernel)
+        FaultInjector(FaultConfig(transient_rate=0.004), seed=seed) \
+            .install(hv)
+        vmi = VMIInstance(hv, "Dom1", profile, enable_caches=False)
+        return ModuleSearcher(vmi).list_modules()
+
+    def test_faulted_name_read_raises(self, catalog):
+        # seed 290's one injected fault lands on hal.dll's name buffer
+        with pytest.raises(TransientFault):
+            self._walk(catalog, 290)
+
+    def test_walk_is_complete_or_raises(self, catalog):
+        for seed in range(0, 300, 3):
+            try:
+                names = [e.name for e in self._walk(catalog, seed)]
+            except TransientFault:
+                continue
+            assert names == list(catalog), seed
