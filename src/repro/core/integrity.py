@@ -15,13 +15,15 @@ differences mismatch trivially via the hash.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from ..obs import NULL_OBS, Observability
 from ..perf.costmodel import DEFAULT_COST_MODEL
 from .parser import ParsedModule
 from .report import PairComparison, PoolReport, VMCheckReport, VMVerdict
-from .rva import ADJUSTERS, RvaAdjustStats
+from .rva import ADJUSTERS, PoolPair, RvaAdjustStats, adjust_rva_pool
 
 __all__ = ["IntegrityChecker", "CanonicalRecord", "md5_hex",
            "SUPPORTED_HASHES"]
@@ -43,6 +45,45 @@ def _no_charge(_seconds: float) -> None:
 
 def _keep_none(_region: str) -> bool:
     return False
+
+
+def _code_views(mod: ParsedModule, memo: dict[int, dict[str, memoryview]],
+                ) -> dict[str, memoryview]:
+    """``mod``'s code regions as name -> zero-copy view, once per copy."""
+    found = memo.get(id(mod))
+    if found is None:
+        image = memoryview(mod.image)
+        found = memo[id(mod)] = {r.name: image[r.start:r.end]
+                                 for r in mod.code_regions}
+    return found
+
+
+class _Group:
+    """The pairs of one (code region, length) group of a batch: the
+    group's distinct copies, their bases, and per pair the two copies'
+    indices, the RVA bound and who receives the outcome."""
+
+    def __init__(self) -> None:
+        self.index: dict[int, int] = {}
+        self.copies: list[memoryview] = []
+        self.bases: list[int] = []
+        self.pairs: list[tuple[int, int]] = []
+        self.limits: list[int] = []
+        self.owners: list[tuple] = []
+
+    def _row(self, mod: ParsedModule, data: memoryview) -> int:
+        row = self.index.get(id(mod))
+        if row is None:
+            row = self.index[id(mod)] = len(self.copies)
+            self.copies.append(data)
+            self.bases.append(mod.base)
+        return row
+
+    def add(self, mod_a: ParsedModule, data_a: memoryview,
+            mod_b: ParsedModule, data_b: memoryview, owner: tuple) -> None:
+        self.pairs.append((self._row(mod_a, data_a), self._row(mod_b, data_b)))
+        self.limits.append(max(len(mod_a.image), len(mod_b.image)))
+        self.owners.append(owner)
 
 
 class CanonicalRecord(NamedTuple):
@@ -89,66 +130,141 @@ class IntegrityChecker:
 
     def compare_pair(self, mod_a: ParsedModule,
                      mod_b: ParsedModule) -> PairComparison:
-        """Compare one module between two VMs, region by region."""
-        mismatched: list[str] = []
-        rva_stats: dict[str, RvaAdjustStats] = {}
-        cost = self.costs.compare_per_pair
+        """Compare one module between two VMs, region by region.
 
-        regions_a = {r.name: r for r in mod_a.header_regions}
-        regions_b = {r.name: r for r in mod_b.header_regions}
-        for name in regions_a.keys() | regions_b.keys():
-            ra, rb = regions_a.get(name), regions_b.get(name)
-            if ra is None or rb is None:
-                mismatched.append(name)      # structural divergence
-                continue
-            data_a, data_b = mod_a.region_bytes(ra), mod_b.region_bytes(rb)
-            cost += (len(data_a) + len(data_b)) * self.costs.hash_per_byte
-            if self.digest(data_a) != self.digest(data_b):
-                mismatched.append(name)
-
-        code_a = {r.name: r for r in mod_a.code_regions}
-        code_b = {r.name: r for r in mod_b.code_regions}
-        for name in code_a.keys() | code_b.keys():
-            ra, rb = code_a.get(name), code_b.get(name)
-            if ra is None or rb is None:
-                mismatched.append(name)
-                continue
-            data_a, data_b = mod_a.region_bytes(ra), mod_b.region_bytes(rb)
-            if len(data_a) != len(data_b):
-                mismatched.append(name)
-                continue
-            adj_a, adj_b, stats = self._adjust(
-                data_a, mod_a.base, data_b, mod_b.base,
-                max_rva=max(len(mod_a.image), len(mod_b.image)))
-            rva_stats[name] = stats
-            cost += 2 * len(data_a) * (self.costs.rva_scan_per_byte
-                                       + self.costs.hash_per_byte)
-            if self.digest(adj_a) != self.digest(adj_b):
-                mismatched.append(name)
-
+        The one-job case of :meth:`compare_pairs`; charges the pair's
+        cost and emits its ``pair.compared`` event.
+        """
+        [(pair, cost)] = self.compare_pairs([(mod_a, mod_b)])
         self._charge(cost)
-        order = mod_a.region_names()
-        mismatched.sort(key=lambda n: order.index(n) if n in order else 999)
-        pair = PairComparison(mod_a.vm_name, mod_b.vm_name,
-                              tuple(mismatched), rva_stats)
+        self.emit_pair(mod_a.module_name, pair)
+        return pair
+
+    def compare_pairs(self, jobs: Sequence[tuple[ParsedModule, ParsedModule]],
+                      ) -> list[tuple[PairComparison, float]]:
+        """Compare every ``(mod_a, mod_b)`` job; pure (no charge, no event).
+
+        Returns each job's comparison and the simulated Dom0 cost that
+        :meth:`compare_pair` charges for it. Header regions are
+        digested once per copy. Code regions of equal length are grouped
+        by (region, length), and each group is RVA-adjusted in one
+        :func:`~repro.core.rva.adjust_rva_pool` pass (``rva_mode=
+        "faithful"``: per pair). Two adjusted copies that are byte-equal
+        match without being digested; the others are digested and
+        compared as before. Regions are visited in ``mod_a``'s order,
+        then ``mod_b``'s extras, so costs sum in a fixed order.
+        """
+        per_byte = self.costs.rva_scan_per_byte + self.costs.hash_per_byte
+        headers: dict[int, dict[str, tuple[str, int]]] = {}
+        codes: dict[int, dict[str, memoryview]] = {}
+        groups: dict[tuple[str, int], _Group] = {}
+        pending: list[tuple] = []
+        for mod_a, mod_b in jobs:
+            head_a, head_b = (self._header_digests(m, headers)
+                              for m in (mod_a, mod_b))
+            cost = self.costs.compare_per_pair
+            outcome: list = []              # [name, mismatched] in visit order
+            for name in dict.fromkeys([*head_a, *head_b]):
+                ha, hb = head_a.get(name), head_b.get(name)
+                if ha is not None and hb is not None:
+                    cost += (ha[1] + hb[1]) * self.costs.hash_per_byte
+                outcome.append([name, ha is None or hb is None
+                                or ha[0] != hb[0]])
+            code_a, code_b = (_code_views(m, codes) for m in (mod_a, mod_b))
+            rva_stats: dict[str, RvaAdjustStats] = {}
+            for name in dict.fromkeys([*code_a, *code_b]):
+                data_a, data_b = code_a.get(name), code_b.get(name)
+                if data_a is None or data_b is None \
+                        or len(data_a) != len(data_b):
+                    outcome.append([name, True])
+                    continue
+                cost += 2 * len(data_a) * per_byte
+                entry = [name, None]
+                outcome.append(entry)
+                rva_stats[name] = None      # filled in by the group
+                group = groups.get((name, len(data_a)))
+                if group is None:
+                    group = groups[name, len(data_a)] = _Group()
+                group.add(mod_a, data_a, mod_b, data_b,
+                          (entry, rva_stats, name))
+            pending.append((mod_a, mod_b, outcome, rva_stats, cost))
+        for group in groups.values():
+            self._adjust_group(group)
+        results = []
+        for mod_a, mod_b, outcome, rva_stats, cost in pending:
+            order = mod_a.region_names()
+            mismatched = [name for name, bad in outcome if bad]
+            mismatched.sort(
+                key=lambda n: order.index(n) if n in order else 999)
+            results.append((PairComparison(
+                mod_a.vm_name, mod_b.vm_name, tuple(mismatched), rva_stats),
+                cost))
+        return results
+
+    def _header_digests(self, mod: ParsedModule,
+                        memo: dict[int, dict[str, tuple[str, int]]],
+                        ) -> dict[str, tuple[str, int]]:
+        """``mod``'s header regions as name -> (digest, length), once
+        per copy (``memo`` lives for one :meth:`compare_pairs` call)."""
+        found = memo.get(id(mod))
+        if found is None:
+            found = memo[id(mod)] = {}
+            image = memoryview(mod.image)
+            for region in mod.header_regions:
+                data = image[region.start:region.end]
+                found[region.name] = (self.digest(data), len(data))
+        return found
+
+    def _adjust_group(self, group: "_Group") -> None:
+        """RVA-adjust one (region, length) group and settle its pairs."""
+        rows = np.stack([np.frombuffer(c, np.uint8) for c in group.copies])
+        if self.rva_mode == "robust":
+            outcomes = adjust_rva_pool(rows, group.bases, group.pairs,
+                                       group.limits)
+        else:
+            outcomes = []
+            for (i, j), limit in zip(group.pairs, group.limits):
+                adj_a, adj_b, stats = self._adjust(
+                    rows[i].tobytes(), group.bases[i], rows[j].tobytes(),
+                    group.bases[j], max_rva=limit)
+                outcomes.append(PoolPair(
+                    stats, None if adj_a == adj_b else (adj_a, adj_b)))
+        for (entry, rva_stats, name), (stats, adjusted) in zip(
+                group.owners, outcomes):
+            rva_stats[name] = stats
+            entry[1] = adjusted is not None and (
+                self.digest(adjusted[0]) != self.digest(adjusted[1]))
+
+    def emit_pair(self, module_name: str, pair: PairComparison) -> None:
+        """Emit one ``pair.compared`` audit event (when events are on)."""
         events = self.obs.events
         if events.enabled:
-            events.emit("pair.compared", module=mod_a.module_name,
+            events.emit("pair.compared", module=module_name,
                         vm_a=pair.vm_a, vm_b=pair.vm_b,
                         matched=pair.matched,
                         mismatched=list(pair.mismatched_regions))
-        return pair
 
     # -- voting ----------------------------------------------------------------------
 
     def check_target(self, target: ParsedModule,
                      others: list[ParsedModule]) -> VMCheckReport:
         """Linear mode: the target VM's module vs each other VM (Figs. 7/8)."""
-        pairs = tuple(self.compare_pair(target, other) for other in others)
+        pairs = tuple(self._settle([(target, other) for other in others]))
         matches = sum(1 for p in pairs if p.matched)
         return VMCheckReport(
             module_name=target.module_name, target_vm=target.vm_name,
             pairs=pairs, matches=matches, comparisons=len(pairs))
+
+    def _settle(self, jobs: list[tuple[ParsedModule, ParsedModule]],
+                ) -> list[PairComparison]:
+        """:meth:`compare_pairs`, then each job's charge and event in
+        order, exactly as a :meth:`compare_pair` loop makes them."""
+        pairs = []
+        for (mod_a, _), (pair, cost) in zip(jobs, self.compare_pairs(jobs)):
+            self._charge(cost)
+            self.emit_pair(mod_a.module_name, pair)
+            pairs.append(pair)
+        return pairs
 
     def _region_vector(self, mod: ParsedModule,
                        adjusted: dict[str, str]) -> tuple:
@@ -293,22 +409,15 @@ class IntegrityChecker:
                 if dict(a).get(k) != dict(b).get(k)))
             pair = PairComparison(reference.vm_name, mod.vm_name, mism)
             pairs.append(pair)
-            events = self.obs.events
-            if events.enabled:
-                events.emit("pair.compared",
-                            module=reference.module_name,
-                            vm_a=pair.vm_a, vm_b=pair.vm_b,
-                            matched=pair.matched,
-                            mismatched=list(pair.mismatched_regions))
+            self.emit_pair(reference.module_name, pair)
         return PoolReport(module_name=reference.module_name,
                           vm_names=names, pairs=pairs, verdicts=verdicts)
 
     def check_pool(self, modules: list[ParsedModule]) -> PoolReport:
         """Full cross-check: every pair once, then per-VM majority votes."""
-        pairs: list[PairComparison] = []
-        for i, mod_a in enumerate(modules):
-            for mod_b in modules[i + 1:]:
-                pairs.append(self.compare_pair(mod_a, mod_b))
+        pairs = self._settle([(mod_a, mod_b)
+                              for i, mod_a in enumerate(modules)
+                              for mod_b in modules[i + 1:]])
         return self.vote(modules, pairs)
 
     def vote(self, modules: list[ParsedModule],

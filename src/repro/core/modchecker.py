@@ -707,6 +707,23 @@ class ModChecker:
             content_key=_content_key(copy.base, len(copy.image), digests),
             parsed=parsed, from_manifest=False)
 
+    def _guard(self, mod_a: ParsedModule,
+               mod_b: ParsedModule) -> tuple[str, str] | None:
+        """Both copies' content keys, or None when either copy has no
+        acquisition metadata (full mode: never looked up nor stored)."""
+        meta_a = self._acq_meta.get(mod_a.vm_name)
+        meta_b = self._acq_meta.get(mod_b.vm_name)
+        if meta_a is None or meta_b is None:
+            return None
+        return meta_a.content_key, meta_b.content_key
+
+    def _cached(self, key: tuple, guard: tuple[str, str]) -> object | None:
+        """The result stored under ``key`` if ``guard`` still matches."""
+        cached = self._pair_cache.peek(key)
+        if cached is not None and (cached[0], cached[1]) == guard:
+            return cached[2]
+        return None
+
     def _replay(self, key: tuple, mod_a: ParsedModule,
                 mod_b: ParsedModule, compute: Callable[[bool], object],
                 ) -> tuple[object, bool]:
@@ -721,40 +738,15 @@ class ModChecker:
         nor stored; ``compute(storing)`` learns which. Returns
         ``(result, replayed)``.
         """
-        meta_a = self._acq_meta.get(mod_a.vm_name)
-        meta_b = self._acq_meta.get(mod_b.vm_name)
-        if meta_a is None or meta_b is None:
+        guard = self._guard(mod_a, mod_b)
+        if guard is None:
             return compute(False), False
-        cached = self._pair_cache.peek(key)
-        if (cached is not None and cached[0] == meta_a.content_key
-                and cached[1] == meta_b.content_key):
-            return cached[2], True
+        cached = self._cached(key, guard)
+        if cached is not None:
+            return cached, True
         result = compute(True)
-        self._pair_cache.put(
-            key, (meta_a.content_key, meta_b.content_key, result))
+        self._pair_cache.put(key, (*guard, result))
         return result, False
-
-    def _compare_or_replay(self, mod_a: ParsedModule,
-                           mod_b: ParsedModule) -> PairComparison:
-        """One pairwise comparison, replayed from cache when sound.
-
-        A replayed :class:`PairComparison` is the comparison byte for
-        byte, including its ``rva_stats``, at zero simulated cost. The
-        replay emits the same ``pair.compared`` audit event the
-        computed path would.
-        """
-        pair, replayed = self._replay(
-            (mod_a.module_name, mod_a.vm_name, mod_b.vm_name), mod_a, mod_b,
-            lambda _storing: self.checker.compare_pair(mod_a, mod_b))
-        if replayed:
-            self.pair_replays += 1
-            events = self.obs.events
-            if events.enabled:
-                events.emit("pair.compared", module=mod_a.module_name,
-                            vm_a=pair.vm_a, vm_b=pair.vm_b,
-                            matched=pair.matched,
-                            mismatched=list(pair.mismatched_regions))
-        return pair
 
     def _canonical_member(self, mod: ParsedModule,
                           counterpart: ParsedModule | None,
@@ -926,14 +918,40 @@ class ModChecker:
                                              list[float]]:
         """Compare each ``(mod_a, mod_b)`` job, replaying when sound.
 
-        Returns the comparisons and each one's work on the phase meter
-        (a replayed pair costs nothing, so it lengthens no worker).
+        The jobs no replay serves are compared in one
+        :meth:`IntegrityChecker.compare_pairs` batch. Then each job, in
+        order, charges its cost, is stored for replay and emits
+        ``pair.compared``, so the clock, the replay store and the event
+        stream read as a per-pair loop. A replayed
+        :class:`PairComparison` is the comparison byte for byte,
+        including its ``rva_stats``, at zero simulated cost. Returns
+        the comparisons and each one's work on the phase meter (a
+        replayed pair lengthens no worker).
         """
+        jobs = list(jobs)
+        keys = [(a.module_name, a.vm_name, b.vm_name) for a, b in jobs]
+        guards = [self._guard(a, b) for a, b in jobs]
+        hits = [guard is not None and self._cached(key, guard) is not None
+                for key, guard in zip(keys, guards)]
+        computed = iter(self.checker.compare_pairs(
+            [job for job, hit in zip(jobs, hits) if not hit]))
         pairs: list[PairComparison] = []
         work: list[float] = []
-        for mod_a, mod_b in jobs:
+        for (mod_a, mod_b), key, guard, hit in zip(jobs, keys, guards, hits):
             start = self._work()
-            pairs.append(self._compare_or_replay(mod_a, mod_b))
+            # a store above may have evicted a hit, as a per-pair loop's
+            # store evicts it before that pair's lookup
+            pair = self._cached(key, guard) if hit else None
+            if pair is not None:
+                self.pair_replays += 1
+            else:
+                pair, cost = (self.checker.compare_pairs([(mod_a, mod_b)])[0]
+                              if hit else next(computed))
+                self._charge(cost)
+                if guard is not None:
+                    self._pair_cache.put(key, (*guard, pair))
+            self.checker.emit_pair(mod_a.module_name, pair)
+            pairs.append(pair)
             work.append(self._work() - start)
         return pairs, work
 

@@ -6,16 +6,25 @@ place on buffers that earlier accepted slots have already rewritten.
 They are kept verbatim as a differential oracle — the kernel, the
 robust adjuster and the forensic diff must reproduce them byte for
 byte, counter for counter and hunk for hunk.
+
+:func:`oracle_adjust_rva_pool` and :func:`oracle_compare_pair` lift the
+per-byte loop to the pairwise vote: one pair at a time, every region
+digested, the way the integrity checker compared pairs before its pool
+batch.
 """
 
 from __future__ import annotations
 
 import struct
 
+from repro.core.parser import ParsedModule
+from repro.core.report import PairComparison
 from repro.core.rva import RvaAdjustStats
 from repro.forensics.diff import _HunkSink, _make_hunk
+from repro.perf.costmodel import DEFAULT_COST_MODEL
 
-__all__ = ["oracle_adjust_rva_robust", "oracle_diff_relocatable"]
+__all__ = ["oracle_adjust_rva_robust", "oracle_diff_relocatable",
+           "oracle_adjust_rva_pool", "oracle_compare_pair"]
 
 _U32 = struct.Struct("<I")
 
@@ -136,3 +145,57 @@ def oracle_diff_relocatable(region: str, data_s: bytes, base_s: int,
         j = start + 4
     flush_tamper(n)
     return stats
+
+
+def oracle_adjust_rva_pool(rows, bases, pairs, limits,
+                           ) -> list[tuple[bytes, bytes, RvaAdjustStats]]:
+    """The per-byte adjuster on every pair of a pool of equal-length
+    copies (``rows[i]``, ``bases[i]``), pair by pair."""
+    return [oracle_adjust_rva_robust(bytes(rows[i]), bases[i],
+                                     bytes(rows[j]), bases[j],
+                                     max_rva=limit)
+            for (i, j), limit in zip(pairs, limits)]
+
+
+def oracle_compare_pair(mod_a: ParsedModule, mod_b: ParsedModule, digest,
+                        costs=DEFAULT_COST_MODEL,
+                        ) -> tuple[PairComparison, float,
+                                   dict[str, tuple[bytes, bytes]]]:
+    """One pair compared region by region with the per-byte adjuster.
+
+    Regions are visited in ``mod_a``'s order, then ``mod_b``'s extras;
+    every compared region is digested on both sides. Returns the
+    comparison, the pair's simulated cost (summed in visit order) and
+    each adjusted code region's two copies.
+    """
+    mismatched: list[str] = []
+    rva_stats: dict[str, RvaAdjustStats] = {}
+    adjusted: dict[str, tuple[bytes, bytes]] = {}
+    cost = costs.compare_per_pair
+    for kind in ("header_regions", "code_regions"):
+        regions_a = {r.name: r for r in getattr(mod_a, kind)}
+        regions_b = {r.name: r for r in getattr(mod_b, kind)}
+        for name in dict.fromkeys([*regions_a, *regions_b]):
+            ra, rb = regions_a.get(name), regions_b.get(name)
+            if ra is None or rb is None:
+                mismatched.append(name)
+                continue
+            data_a, data_b = mod_a.region_bytes(ra), mod_b.region_bytes(rb)
+            if kind == "header_regions":
+                cost += (len(data_a) + len(data_b)) * costs.hash_per_byte
+            elif len(data_a) != len(data_b):
+                mismatched.append(name)
+                continue
+            else:
+                data_a, data_b, rva_stats[name] = oracle_adjust_rva_robust(
+                    data_a, mod_a.base, data_b, mod_b.base,
+                    max_rva=max(len(mod_a.image), len(mod_b.image)))
+                adjusted[name] = (data_a, data_b)
+                cost += 2 * len(data_a) * (costs.rva_scan_per_byte
+                                           + costs.hash_per_byte)
+            if digest(data_a) != digest(data_b):
+                mismatched.append(name)
+    order = mod_a.region_names()
+    mismatched.sort(key=lambda n: order.index(n) if n in order else 999)
+    return (PairComparison(mod_a.vm_name, mod_b.vm_name, tuple(mismatched),
+                           rva_stats), cost, adjusted)

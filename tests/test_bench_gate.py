@@ -211,3 +211,50 @@ class TestWallclockGate:
         tiers = json.loads(baseline.read_text())["wallclock"]
         assert any(t["min_ratio"] >= 3.0
                    and "batch" in t["denominator"] for t in tiers)
+
+
+class TestInterleavedTier:
+    """A tier naming a ``benchmark`` reads that benchmark's
+    ``extra_info`` timings (interleaved, min of N) instead of means."""
+
+    def results(self, tmp_path, scalar, batch):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"benchmarks": [
+            {"name": "test_a", "stats": {"mean": 0.1}},
+            {"name": "test_pair", "stats": {"mean": 0.5},
+             "extra_info": {"scalar_min_s": scalar,
+                            "batch_min_s": batch}}]}))
+        return path
+
+    def baseline(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({
+            "benchmarks": [{"name": "test_a", "stats": {"mean": 0.1}},
+                           {"name": "test_pair", "stats": {"mean": 0.5}}],
+            "wallclock": [{"name": "speedup", "benchmark": "test_pair",
+                           "numerator": "scalar_min_s",
+                           "denominator": "batch_min_s",
+                           "min_ratio": 3.0}]}))
+        return path
+
+    def test_ratio_of_extra_info_passes(self, tmp_path):
+        assert run(self.results(tmp_path, 0.4, 0.1),
+                   self.baseline(tmp_path), "--wallclock") == 0
+
+    def test_ratio_of_extra_info_fails(self, tmp_path):
+        assert run(self.results(tmp_path, 0.2, 0.1),
+                   self.baseline(tmp_path), "--wallclock") == 1
+
+    def test_missing_extra_info_is_schema_error(self, tmp_path):
+        results = write_results(tmp_path / "r.json",
+                                {"test_a": 0.1, "test_pair": 0.5})
+        assert run(results, self.baseline(tmp_path), "--wallclock") == 2
+
+    def test_repo_baseline_gates_the_pool_vote_batch(self):
+        baseline = Path(__file__).resolve().parent.parent / "benchmarks" \
+            / "baseline_substrate.json"
+        tiers = {t["name"]: t
+                 for t in json.loads(baseline.read_text())["wallclock"]}
+        tier = tiers["pool-vote-batch-speedup"]
+        assert tier["benchmark"] == "test_bench_pool_vote_batch"
+        assert tiers["batch-read-speedup"]["min_ratio"] >= 3.0

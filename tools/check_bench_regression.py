@@ -21,11 +21,15 @@ must not *rise*.
 ``--wallclock`` gates *real speedup ratios* between benchmark pairs
 measured in the same run: each tier in the baseline's ``wallclock``
 section names a numerator and denominator benchmark and the minimum
-mean-time ratio the pair must sustain (e.g. the scalar reference read
-must stay ≥3x slower than the vectorised batch read). Because both
-sides of a ratio come from one process on one runner, the gate is
-immune to the machine-speed noise that makes absolute seconds
-useless on shared CI — a genuinely faster runner speeds both sides.
+mean-time ratio the pair must sustain. Because both sides of a ratio
+come from one process on one runner, the gate is immune to the
+machine-speed noise that makes absolute seconds useless on shared CI —
+a genuinely faster runner speeds both sides. A tier that also names a
+``benchmark`` reads its numerator and denominator from that
+benchmark's ``extra_info`` instead: timings the benchmark took itself,
+interleaved in one loop and reduced to the min of N each (e.g. the
+scalar reference read must stay ≥3x slower than the vectorised batch
+read), so a burst of runner load hits both sides alike.
 
 ``--profile`` gates cost *attribution* instead of cost: the results
 file is a ``modchecker profile --json-out`` document, and the check
@@ -92,6 +96,13 @@ def load_means(path: Path) -> dict[str, float]:
     if not benches:
         raise SystemExit(f"error: {path} holds no benchmarks")
     return {b["name"]: float(b["stats"]["mean"]) for b in benches}
+
+
+def load_extra_info(path: Path) -> dict[str, dict]:
+    """Benchmark name -> its ``extra_info``, from pytest-benchmark JSON."""
+    data = json.loads(path.read_text())
+    return {b["name"]: b.get("extra_info", {})
+            for b in data.get("benchmarks", ())}
 
 
 def load_fleet_metrics(path: Path) -> dict[str, float]:
@@ -200,22 +211,34 @@ def load_wallclock_tiers(path: Path) -> list[dict]:
     return tiers
 
 
-def compare_wallclock(means: dict[str, float],
-                      tiers: list[dict]) -> list[str]:
+def tier_values(tier: dict, means: dict[str, float],
+                extra: dict[str, dict]) -> dict[str, float]:
+    """The timings a tier's numerator and denominator name: benchmark
+    means, or entries of the tier's ``benchmark``'s ``extra_info``."""
+    if "benchmark" in tier:
+        return {k: float(v)
+                for k, v in extra.get(tier["benchmark"], {}).items()
+                if isinstance(v, (int, float))}
+    return means
+
+
+def compare_wallclock(means: dict[str, float], tiers: list[dict],
+                      extra: dict[str, dict] | None = None) -> list[str]:
     """Ratio-tier gate; returns failure lines (empty = pass)."""
     failures = []
     for tier in tiers:
         num, den = tier["numerator"], tier["denominator"]
-        absent = [n for n in (num, den) if n not in means]
+        values = tier_values(tier, means, extra or {})
+        absent = [n for n in (num, den) if n not in values]
         if absent:
             failures.append(
                 f"{tier['name']}: benchmarks missing from run: "
                 f"{', '.join(absent)}")
             continue
-        if means[den] <= 0:
+        if values[den] <= 0:
             failures.append(f"{tier['name']}: non-positive mean for {den}")
             continue
-        ratio = means[num] / means[den]
+        ratio = values[num] / values[den]
         if ratio < float(tier["min_ratio"]):
             failures.append(
                 f"{tier['name']}: {num}/{den} speedup {ratio:.2f}x < "
@@ -377,14 +400,16 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
         tiers = load_wallclock_tiers(args.baseline)
-        failures = compare_wallclock(means, tiers)
+        extra = load_extra_info(args.results)
+        failures = compare_wallclock(means, tiers, extra)
         if failures:
             print("wall-clock speedup regression:")
             for line in failures:
                 print(f"  {line}")
             return 1 if not any("missing" in f for f in failures) else 2
         for tier in tiers:
-            ratio = means[tier["numerator"]] / means[tier["denominator"]]
+            values = tier_values(tier, means, extra)
+            ratio = values[tier["numerator"]] / values[tier["denominator"]]
             print(f"{tier['name']}: {ratio:.2f}x "
                   f"(required {float(tier['min_ratio']):.2f}x)")
         print(f"wall-clock tiers hold ({len(tiers)} checked)")
