@@ -63,12 +63,12 @@ def test_infected_admission_self_heals_under_churn():
         f"{vm} not repaired within {SOAK_CYCLES} cycles"
 
     daemon = scenario.daemon
-    assert daemon.repairs_verified >= 1
-    assert daemon.repairs_failed == 0
-    assert daemon.repairs_quarantined == 0
+    assert daemon.stats.repairs_verified_total >= 1
+    assert daemon.stats.repairs_failed_total == 0
+    assert daemon.stats.repairs_quarantined_total == 0
 
     stats = _repair_stats(scenario)
-    assert stats.verified == daemon.repairs_verified
+    assert stats.verified == daemon.stats.repairs_verified_total
     assert stats.mttr_count == stats.verified
     assert 0 < stats.mttr_mean <= stats.mttr_max
 

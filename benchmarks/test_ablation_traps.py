@@ -65,7 +65,7 @@ def test_cost_scales_with_writes_not_pages():
                     va = mod.base + page * PAGE_SIZE
                     kernel.aspace.write(va, kernel.aspace.read(va, 1))
                 mc.check_pool(MODULE)
-        assert mc.trap_pages_checked == writes * ROUNDS
+        assert mc.stats.trap_pages_checked == writes * ROUNDS
         return span.elapsed / ROUNDS
 
     quiet = dirty_cycles(0)
@@ -113,7 +113,7 @@ def test_trap_determinism():
                 va = mod.base + PAGE_SIZE
                 kernel.aspace.write(va, kernel.aspace.read(va, 1))
             mc.check_pool(MODULE)
-        return (tb.clock.now, mc.trap_validations, mc.trap_pages_checked,
+        return (tb.clock.now, mc.stats.trap_validations, mc.stats.trap_pages_checked,
                 dict(mc.trap_fallbacks),
                 mc.hv.traps.stats.snapshot(),
                 sorted(mc._protections.keys()))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ..counters import Series, declare
 from ..errors import DomainNotFound, DomainStateError
 from ..hypervisor.domain import DomainState
 from ..hypervisor.xen import Hypervisor
@@ -107,6 +108,11 @@ class ChaosEvent:
         return f"[{self.time:10.3f}s] chaos: {self.kind} {self.vm}"
 
 
+@declare(*(Series("modchecker_chaos_events_total",
+                  "Lifecycle chaos events applied by kind", kind,
+                  {"kind": kind})
+           for kind in ("reboots", "pauses", "unpauses", "migrations",
+                        "migrations_finished", "destroys", "creates")))
 @dataclass
 class ChaosStats:
     """Counters for what the engine actually did."""

@@ -44,26 +44,21 @@ re-admitted to the checking rotation, preserving their breaker state.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from ..core.daemon import Alert, CheckDaemon, RoundRobinPolicy
+from ..core.daemon import (Alert, CheckDaemon, DaemonStats, RoundRobinPolicy,
+                           step_chaos)
 from ..core.modchecker import ModChecker
+from ..counters import Series, declare, fold
 from ..errors import InsufficientPool
 from ..guest.catalog import build_catalog
 from ..hypervisor.scheduler import CpuModel
 from ..hypervisor.xen import Hypervisor
 from ..obs import (NULL_OBS, Observability, record_fleet_cycle,
-                   record_manifest_stats, record_repair_stats,
-                   record_trap_stats)
+                   record_pipeline_stats)
 from ..pe.builder import DriverBlueprint
-from ..vmi.cache import ManifestStats
 from ..vmi.symbols import OSProfile
-
-if TYPE_CHECKING:
-    from ..core.repair import RepairStats
 
 __all__ = ["ShardKey", "shard_key_for", "Shard", "Fleet", "FleetStats",
            "FleetCycleReport", "FleetTestbed", "build_fleet_testbed",
@@ -116,26 +111,32 @@ class Shard:
         return len(self.members)
 
 
+@declare(
+    Series("modchecker_fleet_checks_total",
+           "Pool checks completed across all shards", "checks_total"),
+    Series("modchecker_fleet_vm_checks_total",
+           "Per-VM verdicts produced across all shards", "vm_checks_total"),
+    Series("modchecker_fleet_borrowed_refs_total",
+           "Reference votes borrowed from sibling shards",
+           "borrowed_refs_total"),
+    Series("modchecker_fleet_shard_events_total",
+           "Shard lifecycle events by kind", "shard_events", by="event"),
+    # The fleet owns the membership series: scoped shard daemons share
+    # one registry and must not race on it, so they skip publishing
+    # and the fleet publishes the fold of their counts.
+    *DaemonStats.METRICS)
 @dataclass
-class FleetStats:
-    """Cumulative fleet counters (never reset; survive shard retirement)."""
+class FleetStats(DaemonStats):
+    """Cumulative fleet counters (never reset; survive shard retirement).
+
+    The inherited :class:`~repro.core.daemon.DaemonStats` fields are the
+    fold of every shard daemon's, retired shards included.
+    """
 
     cycles: int = 0
-    checks_total: int = 0
-    vm_checks_total: int = 0
-    borrowed_refs_total: int = 0
     alerts_total: int = 0
-    #: terminal remediation outcomes summed over every shard daemon
-    #: (only nonzero when ``checker_kwargs`` enables a repair policy)
-    repairs_verified_total: int = 0
-    repairs_failed_total: int = 0
-    repairs_quarantined_total: int = 0
     #: shard lifecycle events: created / retired / admitted / evicted
     shard_events: dict[str, int] = field(default_factory=dict)
-    #: per-VM membership events summed over every shard daemon
-    #: (admit / evict / reboot) — the fleet publishes these because
-    #: scoped daemons must not fight over the shared counter series
-    membership_events: dict[str, int] = field(default_factory=dict)
     #: simulated makespan of each fleet round's shard work
     cycle_seconds: list[float] = field(default_factory=list)
     #: total simulated time spent inside shard work (sum of makespans)
@@ -161,35 +162,16 @@ class FleetStats:
         return ordered[index]
 
 
-@dataclass
-class _CheckerTotals:
-    """Shard checkers' cumulative manifest, trap and repair counters.
-
-    Scoped checkers leave these series to the fleet, which publishes
-    this sum: retired shards folded in, live shards added at publish.
-    """
-
-    manifests: ManifestStats = field(default_factory=ManifestStats)
-    pair_replays: int = 0
-    trap_validations: int = 0
-    trap_pages_checked: int = 0
-    trap_fallbacks: dict[str, int] = field(default_factory=dict)
-    #: None until a shard with a repair engine is added (importing
-    #: the repair module here would pull in forensics on import)
-    repair: "RepairStats | None" = None
-
-    def add(self, mc: ModChecker) -> None:
-        self.manifests.merge(mc.manifests.stats)
-        self.pair_replays += mc.pair_replays
-        self.trap_validations += mc.trap_validations
-        self.trap_pages_checked += mc.trap_pages_checked
-        for reason, count in mc.trap_fallbacks.items():
-            self.trap_fallbacks[reason] = \
-                self.trap_fallbacks.get(reason, 0) + count
-        if mc.repair is not None:
-            if self.repair is None:
-                self.repair = type(mc.repair.stats)()
-            self.repair.merge(mc.repair.stats)
+#: the per-shard stats a fleet folds, by name: retired shards' folds
+#: are kept, live shards' added at publish (repair is None without an
+#: engine)
+_SHARD_STATS = {
+    "daemon": lambda shard: shard.daemon.stats,
+    "checker": lambda shard: shard.checker.stats,
+    "manifests": lambda shard: shard.checker.manifests.stats,
+    "repair": lambda shard: (shard.checker.repair
+                             and shard.checker.repair.stats),
+}
 
 
 @dataclass(frozen=True)
@@ -262,13 +244,9 @@ class Fleet:
         #: every alert any shard ever raised, as (shard name, alert)
         self.alert_log: list[tuple[str, Alert]] = []
         self._shard_seq: dict[ShardKey, int] = {}
-        #: counters folded in from retired shards so fleet totals never
-        #: run backwards (same idiom as ModChecker._vmi_stats_base)
-        self._retired = {"checks": 0, "vm_checks": 0, "borrows": 0,
-                         "repairs_verified": 0, "repairs_failed": 0,
-                         "repairs_quarantined": 0}
-        self._retired_membership: dict[str, int] = {}
-        self._retired_checkers = _CheckerTotals()
+        #: _SHARD_STATS folded over retired shards, so fleet totals
+        #: never run backwards (same idiom as ModChecker._vmi_stats_base)
+        self._retired: dict[str, object] = {}
         self.reconcile()
 
     # -- placement -----------------------------------------------------------
@@ -312,21 +290,18 @@ class Fleet:
 
     def _retire_shard(self, name: str) -> None:
         shard = self.shards.pop(name)
-        self._fold_counters(shard)
+        for key in _SHARD_STATS:
+            self._retired[key] = self._fold(key, [shard])
         self._note_shard_event("retired", shard)
 
-    def _fold_counters(self, shard: Shard) -> None:
-        self._retired["checks"] += shard.daemon.checks_run
-        self._retired["vm_checks"] += shard.daemon.vm_checks_run
-        self._retired["borrows"] += shard.daemon.borrowed_refs
-        self._retired["repairs_verified"] += shard.daemon.repairs_verified
-        self._retired["repairs_failed"] += shard.daemon.repairs_failed
-        self._retired["repairs_quarantined"] += \
-            shard.daemon.repairs_quarantined
-        for _, event, _ in shard.daemon.membership_log:
-            self._retired_membership[event] = \
-                self._retired_membership.get(event, 0) + 1
-        self._retired_checkers.add(shard.checker)
+    def _fold(self, key: str, shards: list[Shard]):
+        """Retired shards' fold of one per-shard stats, then ``shards``'
+        in order (``None`` when nothing carries it)."""
+        get = _SHARD_STATS[key]
+        parts = [part for part in (self._retired.get(key),
+                                   *(get(s) for s in shards))
+                 if part is not None]
+        return fold(*parts) if parts else None
 
     def _place(self, vm: str, domain) -> Shard:
         key = shard_key_for(domain)
@@ -405,55 +380,8 @@ class Fleet:
 
     # -- the fleet round -----------------------------------------------------
 
-    def _refresh_totals(self) -> None:
-        self.stats.checks_total = self._retired["checks"] + sum(
-            s.daemon.checks_run for s in self.shards.values())
-        self.stats.vm_checks_total = self._retired["vm_checks"] + sum(
-            s.daemon.vm_checks_run for s in self.shards.values())
-        self.stats.borrowed_refs_total = self._retired["borrows"] + sum(
-            s.daemon.borrowed_refs for s in self.shards.values())
-        self.stats.repairs_verified_total = \
-            self._retired["repairs_verified"] + sum(
-                s.daemon.repairs_verified for s in self.shards.values())
-        self.stats.repairs_failed_total = \
-            self._retired["repairs_failed"] + sum(
-                s.daemon.repairs_failed for s in self.shards.values())
-        self.stats.repairs_quarantined_total = \
-            self._retired["repairs_quarantined"] + sum(
-                s.daemon.repairs_quarantined for s in self.shards.values())
-        membership = dict(self._retired_membership)
-        for shard in self.shards.values():
-            for _, event, _ in shard.daemon.membership_log:
-                membership[event] = membership.get(event, 0) + 1
-        self.stats.membership_events = membership
-
-    def _record_checker_totals(self) -> None:
-        """Publish the shard checkers' manifest, trap and repair series
-        as fleet-wide sums (see :class:`_CheckerTotals`)."""
-        live = [s.checker for s in self._shards_sorted()]
-        if not live:
-            return
-        totals = copy.deepcopy(self._retired_checkers)
-        for mc in live:
-            totals.add(mc)
-        metrics = self.obs.metrics
-        # every shard checker is built from the same checker_kwargs
-        probe = live[0]
-        if probe.incremental:
-            record_manifest_stats(
-                metrics, totals.manifests,
-                entries=sum(len(mc.manifests) for mc in live),
-                pair_replays=totals.pair_replays)
-        if probe.repair is not None:
-            record_repair_stats(metrics, totals.repair)
-        if probe.event_driven:
-            record_trap_stats(
-                metrics, self.hv.traps.stats,
-                validations=totals.trap_validations,
-                pages_checked=totals.trap_pages_checked,
-                fallbacks=totals.trap_fallbacks,
-                protected_frames=sum(len(d.protected_frames)
-                                     for d in self.hv.guests()))
+    def _daemon_totals(self) -> DaemonStats:
+        return self._fold("daemon", self._shards_sorted()) or DaemonStats()
 
     def run_cycle(self) -> FleetCycleReport:
         """One fleet round: churn, placement, concurrent shard cycles.
@@ -467,19 +395,12 @@ class Fleet:
         clock = self.hv.clock
         events = self.obs.events
         if self.chaos is not None:
-            for chaos_event in self.chaos.step():
-                if events.enabled:
-                    events.emit("chaos.applied", kind=chaos_event.kind,
-                                vm=chaos_event.vm)
-                if chaos_event.kind == "migrate-finish":
-                    shard = self.shard_of(chaos_event.vm)
-                    if shard is not None:
-                        shard.checker.invalidate_manifests(
-                            chaos_event.vm, reason="migration")
+            step_chaos(self.chaos, events,
+                       lambda vm: getattr(self.shard_of(vm), "checker",
+                                          None))
         self.reconcile()
 
-        borrowed_before = self._retired["borrows"] + sum(
-            s.daemon.borrowed_refs for s in self.shards.values())
+        borrowed_before = self._daemon_totals().borrowed_refs_total
         costs: list[float] = []
         ran: list[Shard] = []
         alerts: list[tuple[str, Alert]] = []
@@ -502,7 +423,7 @@ class Fleet:
                                                   demand)
         clock.advance(span + self.interval)
 
-        self._refresh_totals()
+        vars(self.stats).update(vars(self._daemon_totals()))
         self.stats.cycles += 1
         self.stats.cycle_seconds.append(span)
         self.stats.busy_seconds += span
@@ -545,7 +466,15 @@ class Fleet:
                 self.obs.metrics, self.stats,
                 shard_sizes={s.name: s.size for s in admitted},
                 cycle_seconds=span)
-            self._record_checker_totals()
+            live = self._shards_sorted()
+            if live:
+                # every shard checker is built from the same
+                # checker_kwargs, so any one decides which series exist
+                record_pipeline_stats(
+                    self.obs.metrics, live[0].checker,
+                    *(self._fold(key, live)
+                      for key in ("checker", "manifests", "repair")),
+                    entries=sum(len(s.checker.manifests) for s in live))
         self.cycles_run += 1
         return report
 

@@ -46,16 +46,18 @@ import abc
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..counters import Series, alias, declare
 from ..errors import (DomainNotFound, InsufficientPool, IntrospectionFault,
                       RetryExhausted, TransientFault, VMIInitError)
-from ..obs import (record_breaker_states, record_chaos_stats,
-                   record_daemon_cycle, record_membership)
+from ..obs import (record_breaker_states, record_daemon_cycle,
+                   record_membership, record_stats)
 from .health import BreakerConfig, HealthRegistry
 from .modchecker import ModChecker
 from .searcher import ModuleSearcher
 
 __all__ = ["Alert", "AlertLog", "SchedulingPolicy", "RoundRobinPolicy",
-           "PriorityPolicy", "CheckDaemon", "QUORUM_FLOOR"]
+           "PriorityPolicy", "CheckDaemon", "DaemonStats", "QUORUM_FLOOR",
+           "step_chaos"]
 
 #: fewest votable VMs a pool check needs (voting needs two)
 QUORUM_FLOOR = 2
@@ -147,8 +149,50 @@ class PriorityPolicy(SchedulingPolicy):
         return picked
 
 
+@declare(Series("modchecker_membership_events_total",
+                "Pool membership events by kind", "membership_events",
+                by="event"))
+@dataclass
+class DaemonStats:
+    """A daemon's cumulative counters (a fleet folds its shards')."""
+
+    #: pool checks completed / per-VM verdicts produced / borrowed
+    #: reference votes used
+    checks_total: int = 0
+    vm_checks_total: int = 0
+    borrowed_refs_total: int = 0
+    #: terminal remediation outcomes routed through the alert path
+    #: (only nonzero with a repair-capable checker)
+    repairs_verified_total: int = 0
+    repairs_failed_total: int = 0
+    repairs_quarantined_total: int = 0
+    #: membership events by kind: admit / evict / reboot
+    membership_events: dict[str, int] = field(default_factory=dict)
+
+
+def step_chaos(chaos, events, checker_of) -> None:
+    """Step a churn engine once and apply what the pipeline must see.
+
+    Every applied event goes on the audit record; a finished live
+    migration drops the VM's manifests on ``checker_of(vm)`` (``None``
+    when no checker holds the VM): the move rewrites the guest's
+    physical placement, so page digests recorded before it are no
+    longer evidence about the new frames.
+    """
+    for event in chaos.step():
+        if events.enabled:
+            events.emit("chaos.applied", kind=event.kind, vm=event.vm)
+        if event.kind == "migrate-finish":
+            checker = checker_of(event.vm)
+            if checker is not None:
+                checker.invalidate_manifests(event.vm, reason="migration")
+
+
 class CheckDaemon:
     """Periodic integrity sweeps over the cloud, degrading gracefully."""
+
+    #: per-VM verdicts produced (``bench/`` reads it by this name)
+    vm_checks_run = alias("vm_checks_total")
 
     def __init__(self, checker: ModChecker, policy: SchedulingPolicy | None = None,
                  *, interval: float = 60.0, carve: bool = True,
@@ -201,16 +245,7 @@ class CheckDaemon:
         self.health = HealthRegistry(breaker or BreakerConfig())
         self.log = AlertLog()
         self.cycles_run = 0
-        #: pool checks completed / per-VM verdicts produced / borrowed
-        #: reference votes used (all cumulative, for the fleet metrics)
-        self.checks_run = 0
-        self.vm_checks_run = 0
-        self.borrowed_refs = 0
-        #: terminal remediation outcomes routed through the alert path
-        #: (cumulative; only nonzero with a repair-capable checker)
-        self.repairs_verified = 0
-        self.repairs_failed = 0
-        self.repairs_quarantined = 0
+        self.stats = DaemonStats()
         self._modules: list[str] | None = None
         self._modules_cycle = 0
         self._force_rediscover = False
@@ -283,7 +318,7 @@ class CheckDaemon:
         clock = self.checker.hv.clock
         for rec in remediations:
             if rec.status == "verified":
-                self.repairs_verified += 1
+                self.stats.repairs_verified_total += 1
                 if self.slo is not None and rec.mttr is not None:
                     self.slo.record("daemon", "mttr", rec.mttr, clock.now)
                 self._raise_alert(
@@ -293,13 +328,13 @@ class CheckDaemon:
                 continue
             reason = rec.reason or "repair retry budget exhausted"
             if rec.status == "quarantined":
-                self.repairs_quarantined += 1
+                self.stats.repairs_quarantined_total += 1
                 if rec.vm_name in own:
                     self._trip_vm(rec.vm_name,
                                   f"repair quarantine: {reason}",
                                   new_alerts)
             else:
-                self.repairs_failed += 1
+                self.stats.repairs_failed_total += 1
             self._raise_alert(
                 Alert(clock.now, module, (rec.vm_name,),
                       (reason,), kind="repair-failed"
@@ -331,6 +366,8 @@ class CheckDaemon:
     def _note_membership(self, event: str, vm: str) -> None:
         self.membership_log.append(
             (self.checker.hv.clock.now, event, vm))
+        counts = self.stats.membership_events
+        counts[event] = counts.get(event, 0) + 1
         self._force_rediscover = True
         events = self.checker.obs.events
         if events.enabled:
@@ -456,16 +493,7 @@ class CheckDaemon:
              obs.tracer.span("daemon.cycle",
                              cycle=self.cycles_run) as cycle_span:
             if self.chaos is not None:
-                for chaos_event in self.chaos.step():
-                    if events.enabled:
-                        events.emit("chaos.applied", kind=chaos_event.kind,
-                                    vm=chaos_event.vm)
-                    if chaos_event.kind == "migrate-finish":
-                        # Live migration rewrites the guest's physical
-                        # placement; page digests recorded pre-move are
-                        # no longer evidence about the new frames.
-                        self.checker.invalidate_manifests(
-                            chaos_event.vm, reason="migration")
+                step_chaos(self.chaos, events, lambda vm: self.checker)
             self.health.tick()
             self._reconcile_membership()
             self._warm_up_pending(new_alerts)
@@ -483,7 +511,7 @@ class CheckDaemon:
                 borrowed = [vm for vm in self.lender(needed, active)
                             if vm not in active]
                 if borrowed:
-                    self.borrowed_refs += len(borrowed)
+                    self.stats.borrowed_refs_total += len(borrowed)
                     if events.enabled:
                         events.emit("quorum.borrowed",
                                     pool=len(active),
@@ -511,8 +539,8 @@ class CheckDaemon:
                     except InsufficientPool:
                         continue
                     report = outcome.report
-                    self.checks_run += 1
-                    self.vm_checks_run += len(report.verdicts)
+                    self.stats.checks_total += 1
+                    self.stats.vm_checks_total += len(report.verdicts)
                     for vm, reason in sorted(report.degraded.items()):
                         # Exhausted retry budgets and vanished domains
                         # indicate a sick VM; an "unreadable:" reason is a
@@ -594,11 +622,10 @@ class CheckDaemon:
                 # over one series. The fleet publishes its own
                 # membership aggregates instead.
                 record_membership(
-                    obs.metrics,
-                    pool_size=len(self.checker.pool_vm_names()),
-                    events=self.membership_log)
+                    obs.metrics, self.stats,
+                    pool_size=len(self.checker.pool_vm_names()))
             if self.chaos is not None and hasattr(self.chaos, "stats"):
-                record_chaos_stats(obs.metrics, self.chaos.stats)
+                record_stats(obs.metrics, self.chaos.stats)
         if not self.checker.hv.charges_deferred:
             clock.advance(self.interval)
         return new_alerts

@@ -25,15 +25,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from ..counters import Series, alias, declare, fold
 from ..errors import (DomainNotFound, InsufficientPool, IntrospectionFault,
                       ModuleNotLoadedError, RetryExhausted, TransientFault,
                       VMIInitError)
 from ..hypervisor.xen import Hypervisor
 from ..mem.physical import PAGE_SIZE
-from ..obs import (NULL_OBS, Observability, record_fault_stats,
-                   record_manifest_stats, record_pool_report,
-                   record_repair_stats, record_stage_timings,
-                   record_trap_stats, record_vmi_instance)
+from ..obs import (NULL_OBS, Observability, record_pipeline_stats,
+                   record_pool_report, record_stage_timings, record_stats,
+                   record_vmi_instance)
 from ..perf.costmodel import DEFAULT_COST_MODEL
 from ..perf.timing import ComponentTimings
 from ..vmi.cache import CheckManifest, LRUCache, ManifestStore
@@ -48,7 +48,8 @@ from .searcher import ModuleSearcher
 if TYPE_CHECKING:
     from ..forensics.evidence import EvidenceRecorder
 
-__all__ = ["ModChecker", "CheckOutcome", "PoolOutcome", "FetchResult"]
+__all__ = ["ModChecker", "CheckerStats", "CheckOutcome", "PoolOutcome",
+           "FetchResult"]
 
 
 def _page_digests(image: bytes) -> tuple[bytes, ...]:
@@ -76,6 +77,35 @@ def _content_key(base: int, size: int, digests: tuple[bytes, ...]) -> str:
     for digest in digests:
         h.update(digest)
     return h.hexdigest()
+
+
+@declare(
+    Series("modchecker_pair_replays_total",
+           "Pairwise comparisons served from the content-keyed "
+           "replay cache", "pair_replays"),
+    traps=(
+        Series("modchecker_trap_validations_total",
+               "Manifest validations satisfied purely by trap evidence",
+               "trap_validations"),
+        Series("modchecker_trap_pages_checked_total",
+               "Pages re-digested because traps (or unprotectable pages) "
+               "named them", "trap_pages_checked"),
+        Series("modchecker_trap_fallbacks_total",
+               "Trap validations that fell back to sweep work, by reason",
+               "trap_fallbacks", by="reason")))
+@dataclass
+class CheckerStats:
+    """A checker's cumulative replay and trap-path counters.
+
+    ``trap_fallbacks`` reasons: ``exhausted`` / ``paranoia`` /
+    ``lifecycle`` / ``unprotectable``.
+    """
+
+    #: pairwise comparisons served from the replay cache
+    pair_replays: int = 0
+    trap_validations: int = 0
+    trap_pages_checked: int = 0
+    trap_fallbacks: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -238,10 +268,9 @@ class ModChecker:
         self.paranoia_every = paranoia_every
         #: (vm, module) -> armed protection state
         self._protections: dict[tuple[str, str], _Protection] = {}
-        #: trap-path accounting (cumulative; published by the metrics)
-        self.trap_validations = 0
-        self.trap_pages_checked = 0
-        self.trap_fallbacks: dict[str, int] = {}
+        #: replay and trap-path accounting (cumulative; published by
+        #: the metrics, folded over shards by a fleet)
+        self.stats = CheckerStats()
         self.recheck_ttl = recheck_ttl
         self.manifests = ManifestStore(ttl=recheck_ttl)
         #: the replay store of both pool votes (see :meth:`_replay`):
@@ -250,8 +279,6 @@ class ModChecker:
         #: CanonicalRecord); replayed only when both content keys still
         #: match, so a stale entry is unreachable rather than evicted
         self._pair_cache: LRUCache[tuple, tuple] = LRUCache(8192)
-        #: pairwise comparisons served from the replay cache (cumulative)
-        self.pair_replays = 0
         #: per-fetch acquisition metadata, reset by every fetch round
         self._acq_meta: dict[str, _AcqMeta] = {}
         #: each VM's searcher + parser work in the last fetch round, on
@@ -262,6 +289,11 @@ class ModChecker:
         #: cumulative VMI metrics survive re-attach (reboot churn)
         #: without ever running backwards
         self._vmi_stats_base: dict[str, "VMIStats"] = {}
+        #: VMs whose live session was opened as a borrowed reference (a
+        #: scoped checker voting a sibling shard's VM): their per-VM
+        #: series belong to the home shard, so a retired borrowed
+        #: session folds into nothing this checker publishes
+        self._borrowed: set[str] = set()
         self.parser = ModuleParser(charge=self._charge, obs=obs)
         self.checker = IntegrityChecker(rva_mode=rva_mode,
                                         hash_algorithm=hash_algorithm,
@@ -287,6 +319,10 @@ class ModChecker:
         #: (or a second evidence capture for the same incident)
         self._in_repair = False
 
+    #: ``stats`` counters ``bench/`` reads off the checker itself
+    pair_replays = alias("pair_replays")
+    trap_fallbacks = alias("trap_fallbacks")
+
     def _charge(self, cpu_seconds: float) -> None:
         self.hv.charge_dom0(cpu_seconds)
 
@@ -297,9 +333,11 @@ class ModChecker:
         vmi = self._vmis.pop(vm_name, None)
         if vmi is None:
             return
-        base = self._vmi_stats_base.setdefault(vm_name, VMIStats())
-        for name, value in vars(vmi.stats).items():
-            setattr(base, name, getattr(base, name) + value)
+        if vm_name in self._borrowed:
+            self._borrowed.discard(vm_name)
+            return
+        self._vmi_stats_base[vm_name] = fold(
+            self._vmi_stats_base.get(vm_name, VMIStats()), vmi.stats)
 
     def vmi_for(self, vm_name: str) -> VMIInstance:
         vmi = self._vmis.get(vm_name)
@@ -312,6 +350,8 @@ class ModChecker:
                               retry=self.retry, batch=self.batch,
                               obs=self.obs)
             self._vmis[vm_name] = vmi
+            if self.members is not None and vm_name not in self.members():
+                self._borrowed.add(vm_name)
         return vmi
 
     def _vmi_stale(self, vm_name: str, vmi: VMIInstance) -> bool:
@@ -536,9 +576,9 @@ class ModChecker:
                                "unprotectable")
             if not self._pages_match(vmi, module_name, manifest, pages):
                 return None
-            self.trap_pages_checked += len(pages)
+            self.stats.trap_pages_checked += len(pages)
             rec.dirty_pages.clear()
-        self.trap_validations += 1
+        self.stats.trap_validations += 1
         return self._manifest_hit(vmi, module_name, manifest,
                                   pages=len(pages))
 
@@ -656,7 +696,8 @@ class ModChecker:
                   reason: str) -> None:
         """Account one fall-back to sweep work (taxonomy: ``exhausted``
         / ``paranoia`` / ``lifecycle`` / ``unprotectable``)."""
-        self.trap_fallbacks[reason] = self.trap_fallbacks.get(reason, 0) + 1
+        fallbacks = self.stats.trap_fallbacks
+        fallbacks[reason] = fallbacks.get(reason, 0) + 1
         events = self.obs.events
         if events.enabled:
             events.emit("trap.fallback", vm=vm_name, module=module_name,
@@ -849,10 +890,12 @@ class ModChecker:
         # Union of live sessions and retired baselines: a VM that was
         # evicted (and never re-attached) still publishes its folded
         # counters, so the cumulative series never loses a session tail.
-        # A scoped (fleet-shard) checker publishes only its *members*:
-        # a borrowed reference VM gets a session here too, but its
-        # per-VM series belongs to its home shard — two publishers on
-        # one label would drive the shared counter backwards.
+        # A scoped (fleet-shard) checker publishes only its *members*'
+        # live sessions: a borrowed reference VM gets a session here
+        # too, but its per-VM series belongs to its home shard — two
+        # publishers on one label would drive the shared counter
+        # backwards. A retired borrowed session folds into no baseline
+        # (see _retire_vmi), so every baseline is a home VM's.
         members = set(self.members()) if self.members is not None else None
         for vm_name in sorted(set(self._vmis) | set(self._vmi_stats_base)):
             if (members is not None and vm_name not in members
@@ -862,27 +905,17 @@ class ModChecker:
                                 base=self._vmi_stats_base.get(vm_name))
         injector = getattr(self.hv, "fault_injector", None)
         if injector is not None:
-            record_fault_stats(metrics, injector.stats)
-        if members is not None:
-            # The fleet owns the manifest, trap and repair series and
-            # publishes their sum over its shards: every shard setting
-            # its own cumulative totals on one unlabelled series would
-            # leave the last publisher's value, or run it backwards.
-            return
-        if self.incremental:
-            record_manifest_stats(metrics, self.manifests.stats,
-                                  entries=len(self.manifests),
-                                  pair_replays=self.pair_replays)
-        if self.repair is not None:
-            record_repair_stats(metrics, self.repair.stats)
-        if self.event_driven:
-            record_trap_stats(
-                metrics, self.hv.traps.stats,
-                validations=self.trap_validations,
-                pages_checked=self.trap_pages_checked,
-                fallbacks=self.trap_fallbacks,
-                protected_frames=sum(len(d.protected_frames)
-                                     for d in self.hv.guests()))
+            record_stats(metrics, injector.stats)
+        if members is None:
+            # A fleet owns a scoped checker's manifest, trap and repair
+            # series and publishes their fold over its shards: every
+            # shard setting its own totals on one unlabelled series
+            # would leave the last publisher's value, or run it
+            # backwards.
+            record_pipeline_stats(
+                metrics, self, self.stats, self.manifests.stats,
+                self.repair and self.repair.stats,
+                entries=len(self.manifests))
 
     def pool_vm_names(self, vms: list[str] | None = None) -> list[str]:
         if vms is not None:
@@ -943,7 +976,7 @@ class ModChecker:
             # store evicts it before that pair's lookup
             pair = self._cached(key, guard) if hit else None
             if pair is not None:
-                self.pair_replays += 1
+                self.stats.pair_replays += 1
             else:
                 pair, cost = (self.checker.compare_pairs([(mod_a, mod_b)])[0]
                               if hit else next(computed))

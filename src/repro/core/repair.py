@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from ..counters import Series, declare
 from ..errors import (InsufficientPool, IntrospectionFault, PEError,
                       RetryExhausted, TransientFault)
 from ..forensics.diff import diff_modules
@@ -156,6 +157,28 @@ class RemediationRecord:
                    aborted=doc.get("aborted", False))
 
 
+_MTTR_HELP = ("Detect-to-verified-clean time over verified remediations "
+              "(simulated clock)")
+
+
+@declare(
+    Series("modchecker_repair_attempts_total",
+           "Write-back remediation attempts", "attempts"),
+    *(Series("modchecker_repair_outcomes_total",
+             "Terminal remediation outcomes by status", status,
+             {"status": status})
+      for status in ("verified", "failed", "quarantined", "aborted")),
+    Series("modchecker_repair_hunks_written_total",
+           "Tamper/structural hunks written back to guests", "hunks_written"),
+    Series("modchecker_repair_bytes_written_total",
+           "Guest bytes written back by the repair engine", "bytes_written"),
+    Series("modchecker_repair_raced_writes_total",
+           "Guest writes trapped inside armed repair windows",
+           "raced_writes"),
+    Series("modchecker_repair_mttr_seconds", _MTTR_HELP, "mttr_mean",
+           {"stat": "mean"}, kind="gauge"),
+    Series("modchecker_repair_mttr_seconds", _MTTR_HELP, "mttr_max",
+           {"stat": "max"}, kind="gauge"))
 @dataclass
 class RepairStats:
     """Cumulative remediation counters (published by the metrics)."""
@@ -170,7 +193,7 @@ class RepairStats:
     raced_writes: int = 0
     mttr_sum: float = 0.0
     mttr_count: int = 0
-    mttr_max: float = 0.0
+    mttr_max: float = field(default=0.0, metadata={"fold": max})
 
     def note(self, record: RemediationRecord) -> None:
         """Fold one terminal record into the cumulative counters."""
@@ -190,13 +213,6 @@ class RepairStats:
             self.mttr_sum += mttr
             self.mttr_count += 1
             self.mttr_max = max(self.mttr_max, mttr)
-
-    def merge(self, other: "RepairStats") -> None:
-        """Add another engine's counters in (a fleet's sum over shards)."""
-        for name in vars(other):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            setattr(self, name, max(mine, theirs) if name == "mttr_max"
-                    else mine + theirs)
 
     @property
     def mttr_mean(self) -> float:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from ..counters import Series, declare
 from ..errors import (DomainNotFound, DomainUnreachable, PagedOutFault,
                       TransientFault)
 from ..mem.physical import PAGE_SIZE
@@ -82,6 +83,13 @@ class FaultConfig:
                 or self.paged_out_rate or self.unreachable_rate) > 0
 
 
+@declare(
+    *(Series("modchecker_faults_injected_total", "Faults injected by kind",
+             kind, {"kind": kind})
+      for kind in ("transient", "torn_pages", "stale_served", "paged_out",
+                   "window_hits", "unreachable")),
+    Series("modchecker_faulted_reads_total",
+           "Guest reads that passed through the fault gate", "reads"))
 @dataclass
 class FaultStats:
     """Counters for what the injector actually did."""

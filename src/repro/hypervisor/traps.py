@@ -29,6 +29,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from ..counters import Series, declare
+
 __all__ = ["WriteTrap", "TrapStats", "TrapQueue"]
 
 
@@ -43,6 +45,10 @@ class WriteTrap:
     writes: int = 1    #: writes coalesced into this trap since arming
 
 
+@declare(*(Series("modchecker_traps_total",
+                  "Write traps through the hypervisor ring, by outcome",
+                  outcome, {"outcome": outcome})
+           for outcome in ("delivered", "coalesced", "dropped", "drained")))
 @dataclass
 class TrapStats:
     """Counters for the trap ring (all monotonically increasing)."""

@@ -24,12 +24,11 @@ from pathlib import Path
 
 from ..hypervisor.clock import SimClock
 from .bridge import (BREAKER_STATE_VALUES, STAGES, record_breaker_states,
-                     record_chaos_stats, record_daemon_cycle,
-                     record_fault_stats, record_fleet_cycle,
-                     record_manifest_stats, record_membership,
-                     record_pool_report, record_repair_stats,
-                     record_slo_status, record_stage_timings,
-                     record_trap_stats, record_vmi_instance)
+                     record_daemon_cycle, record_fleet_cycle,
+                     record_membership, record_pipeline_stats,
+                     record_pool_report, record_slo_status,
+                     record_stage_timings, record_stats,
+                     record_vmi_instance)
 from .events import EVENT_NAMES, NULL_EVENTS, Event, EventLog, NullEventLog
 from .sinks import (SINK_NAMES, JsonlSink, NullSink, PromSink, Sink,
                     SinkError, StdoutSink, parse_sink, parse_sink_opts)
@@ -53,11 +52,10 @@ __all__ = [
     "MetricsRegistry", "NullMetrics", "NULL_METRICS",
     "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
     "EventLog", "NullEventLog", "NULL_EVENTS", "Event", "EVENT_NAMES",
-    "STAGES", "BREAKER_STATE_VALUES", "record_stage_timings",
-    "record_pool_report", "record_vmi_instance", "record_fault_stats",
+    "STAGES", "BREAKER_STATE_VALUES", "record_stats",
+    "record_stage_timings", "record_pool_report", "record_vmi_instance",
     "record_daemon_cycle", "record_breaker_states", "record_membership",
-    "record_chaos_stats", "record_manifest_stats", "record_trap_stats",
-    "record_fleet_cycle", "record_repair_stats", "record_slo_status",
+    "record_pipeline_stats", "record_fleet_cycle", "record_slo_status",
     "Sink", "NullSink", "StdoutSink", "JsonlSink", "PromSink",
     "SinkError", "parse_sink", "parse_sink_opts", "SINK_NAMES",
 ]

@@ -37,6 +37,8 @@ DEFAULT_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+#: label names already validated (a run uses a handful, millions of times)
+_CHECKED_LABELS: set[str] = set()
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -77,10 +79,12 @@ class _Metric:
 
     @staticmethod
     def _key(labels: dict[str, object]) -> LabelKey:
-        for label in labels:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"invalid label name {label!r}")
-        return tuple(sorted((k, str(v)) for k, v in labels.items()))
+        if not _CHECKED_LABELS.issuperset(labels):
+            for label in labels:
+                if not _LABEL_RE.match(label):
+                    raise ValueError(f"invalid label name {label!r}")
+            _CHECKED_LABELS.update(labels)
+        return tuple(sorted([(k, str(v)) for k, v in labels.items()]))
 
 
 class Counter(_Metric):
@@ -254,9 +258,15 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
+        metric = self._metrics.get(name)
+        if type(metric) is Counter:      # the hot path: already there
+            return metric
         return self._get_or_create(Counter, name, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
+        metric = self._metrics.get(name)
+        if type(metric) is Gauge:
+            return metric
         return self._get_or_create(Gauge, name, help)
 
     def histogram(self, name: str, help: str = "",

@@ -201,8 +201,18 @@ class Profile:
         return totals
 
     def stage_shares(self) -> dict[str, float]:
-        """Each span name's share of total exclusive simulated time."""
+        """Each span name's share of total exclusive simulated time.
+
+        Where no simulated time passed inside spans but Dom0 CPU was
+        charged to them (a fleet round: charges are deferred, so span
+        clocks are frozen), the shares weigh the CPU charged directly
+        to each span name instead; all zeros only when neither moved.
+        """
         totals = self.exclusive_by_name()
+        if sum(totals.values()) <= 0.0:
+            totals = dict.fromkeys(totals, 0.0)
+            for node in self.nodes():
+                totals[node.name] += node.cpu
         grand = sum(totals.values())
         if grand <= 0.0:
             return {name: 0.0 for name in totals}

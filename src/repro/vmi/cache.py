@@ -40,6 +40,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generic, Hashable, TypeVar
 
+from ..counters import Series, declare
+
 if TYPE_CHECKING:
     from ..core.parser import ParsedModule
 
@@ -182,6 +184,14 @@ class CheckManifest:
     verified_at: float
 
 
+@declare(
+    Series("modchecker_manifest_hits_total",
+           "Manifest lookups that found a structurally valid entry", "hits"),
+    Series("modchecker_manifest_misses_total",
+           "Manifest lookups that missed, by reason", "misses", by="reason"),
+    Series("modchecker_manifest_invalidations_total",
+           "Manifest entries dropped, by reason", "invalidations",
+           by="reason"))
 @dataclass
 class ManifestStats:
     """Counters for the manifest store (all cumulative)."""
@@ -189,14 +199,6 @@ class ManifestStats:
     hits: int = 0
     misses: dict[str, int] = field(default_factory=dict)
     invalidations: dict[str, int] = field(default_factory=dict)
-
-    def merge(self, other: "ManifestStats") -> None:
-        """Add another store's counters in (a fleet's sum over shards)."""
-        self.hits += other.hits
-        for mine, theirs in ((self.misses, other.misses),
-                             (self.invalidations, other.invalidations)):
-            for reason, count in theirs.items():
-                mine[reason] = mine.get(reason, 0) + count
 
     @property
     def missed(self) -> int:

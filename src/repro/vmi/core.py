@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..counters import Series, declare
 from ..errors import (IntrospectionFault, PageFault, PhysicalAddressError,
                       RetryExhausted, TransientFault, VMIInitError)
 from ..hypervisor.xen import Hypervisor
@@ -49,9 +50,43 @@ _PAGE_MASK = PAGE_SIZE - 1
 BATCH_MIN_PAGES = 4
 
 
+@declare(
+    Series("modchecker_vmi_pages_mapped_total",
+           "Foreign guest frames mapped into Dom0", "pages_mapped"),
+    Series("modchecker_vmi_bytes_read_total",
+           "Guest bytes copied out through VMI", "bytes_read"),
+    Series("modchecker_vmi_translations_total",
+           "Guest page-table walks performed", "translations"),
+    Series("modchecker_vmi_batch_pages_total",
+           "Pages served by the vectorised acquisition path", "batch_pages"),
+    Series("modchecker_vmi_batch_fallbacks_total",
+           "Batched calls that stood down to the scalar path",
+           "batch_fallbacks"),
+    Series("modchecker_cache_hits_total",
+           "VMI cache hits (cumulative, never reset)",
+           "translation_cache_hits", {"cache": "v2p"}),
+    Series("modchecker_cache_hits_total",
+           "VMI cache hits (cumulative, never reset)",
+           "page_cache_hits", {"cache": "page"}),
+    # exposition order: the bridge registers the per-round cache-hit
+    # ratio gauges between these counters and the ``faults`` group
+    faults=(
+        Series("modchecker_vmi_transient_faults_total",
+               "Transient introspection faults observed", "transient_faults"),
+        Series("modchecker_vmi_retries_total",
+               "Guest reads re-issued after a transient fault", "retries"),
+        Series("modchecker_vmi_retries_recovered_total",
+               "Reads that succeeded after at least one retry",
+               "retries_recovered"),
+        Series("modchecker_vmi_pages_protected_total",
+               "Guest frames armed with write-protection",
+               "pages_protected"),
+        Series("modchecker_vmi_traps_drained_total",
+               "Coalesced write traps drained by this session",
+               "traps_drained")))
 @dataclass
 class VMIStats:
-    """Operation counters for one VMI instance."""
+    """Operation counters for one VMI instance (per-VM series, ``vm``)."""
 
     translations: int = 0
     translation_cache_hits: int = 0
@@ -87,9 +122,6 @@ class VMIStats:
     #: a hole, a transient fault, a wild mapping, or caches close
     #: enough to capacity that LRU eviction order matters
     batch_fallbacks: int = 0
-
-    def snapshot(self) -> "VMIStats":
-        return VMIStats(**vars(self))
 
 
 @dataclass(frozen=True)

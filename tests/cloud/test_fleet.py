@@ -110,8 +110,8 @@ class TestQuorumBorrowing:
         _, fleet = make_fleet(5, variants=ONE_VARIANT, shard_size=4)
         small = next(s for s in fleet.shards.values() if s.size == 1)
         fleet.run(3)
-        assert small.daemon.checks_run == 3
-        assert small.daemon.borrowed_refs > 0
+        assert small.daemon.stats.checks_total == 3
+        assert small.daemon.stats.borrowed_refs_total > 0
         assert fleet.stats.borrowed_refs_total > 0
 
     def test_no_borrowing_without_lender(self):
@@ -119,8 +119,8 @@ class TestQuorumBorrowing:
                               borrow=False)
         small = next(s for s in fleet.shards.values() if s.size == 1)
         fleet.run(3)
-        assert small.daemon.checks_run == 0
-        assert small.daemon.borrowed_refs == 0
+        assert small.daemon.stats.checks_total == 0
+        assert small.daemon.stats.borrowed_refs_total == 0
         # the starved shard degrades loudly instead of checking
         assert any(a.kind == "degraded" and "quorum starved" in a.regions[0]
                    for _, a in fleet.alert_log)
@@ -161,8 +161,8 @@ class TestQuorumBorrowing:
             same_key = [s for s in fleet.shards.values()
                         if s is not shard and s.key == shard.key]
             if not same_key:
-                assert shard.daemon.checks_run == 0
-                assert shard.daemon.borrowed_refs == 0
+                assert shard.daemon.stats.checks_total == 0
+                assert shard.daemon.stats.borrowed_refs_total == 0
 
 
 class TestShardAdministration:
@@ -170,14 +170,14 @@ class TestShardAdministration:
         _, fleet = make_fleet(12, shard_size=4)
         name = sorted(fleet.shards)[0]
         fleet.run_cycle()
-        checks_before = fleet.shards[name].daemon.checks_run
+        checks_before = fleet.shards[name].daemon.stats.checks_total
         fleet.evict_shard(name)
         report = fleet.run_cycle()
-        assert fleet.shards[name].daemon.checks_run == checks_before
+        assert fleet.shards[name].daemon.stats.checks_total == checks_before
         assert report.shards == len(fleet.shards) - 1
         fleet.admit_shard(name)
         fleet.run_cycle()
-        assert fleet.shards[name].daemon.checks_run == checks_before + 1
+        assert fleet.shards[name].daemon.stats.checks_total == checks_before + 1
         assert fleet.stats.shard_events["evicted"] == 1
         assert fleet.stats.shard_events["admitted"] == 1
 
@@ -292,6 +292,23 @@ class TestObservability:
             assert metric in blob
 
 
+    def test_borrowed_session_retirement_keeps_one_publisher(self):
+        """Regression: a shard that borrowed a reference VM which then
+        rebooted folded the borrowed session into its own per-VM
+        baseline and published it, so two shards set one ``{vm}``
+        series and the shared counter ran backwards (ValueError)."""
+        tb = build_fleet_testbed(12, seed=SEED)
+        obs = make_observability(tb.clock)
+        engine = ChaosEngine(tb.hypervisor, ChaosConfig.from_churn_rate(0.4),
+                             seed=SEED, catalog=tb.catalog)
+        fleet = Fleet(tb.hypervisor, shard_size=1, chaos=engine, obs=obs)
+        fleet.run(5)
+        assert fleet.stats.borrowed_refs_total > 0
+        assert engine.stats.reboots > 0
+        for shard in fleet.shards.values():
+            # only the home shard keeps a per-VM baseline
+            assert set(shard.checker._vmi_stats_base) <= shard.members
+
     def test_checker_series_are_fleet_wide_sums_under_churn(self):
         """Manifest, trap and repair series are owned by the fleet:
         each equals the sum over every shard checker the fleet ever
@@ -323,7 +340,7 @@ class TestObservability:
         assert doomed.checker.manifests.stats.hits > 0
 
         def total(attr):
-            return sum(getattr(mc, attr) for mc in checkers.values())
+            return sum(getattr(mc.stats, attr) for mc in checkers.values())
 
         def by_reason(get):
             out = {}

@@ -101,7 +101,7 @@ def soak(config: str) -> dict:
                 mc.manifests.stats.misses.items())),
             "manifest_invalidations": dict(sorted(
                 mc.manifests.stats.invalidations.items())),
-            "trap_validations": mc.trap_validations,
+            "trap_validations": mc.stats.trap_validations,
             "pair_replays": mc.pair_replays}
     return {"events_sha256": _sha(events.to_jsonl()),
             "clock": repr(tb.clock.now),

@@ -62,8 +62,8 @@ class TestArming:
                        for vm, vmi in mc._vmis.items()}
         out = mc.check_pool(MODULE)
         assert out.report.all_clean
-        assert mc.trap_validations == len(tb.vm_names)
-        assert mc.trap_pages_checked == 0
+        assert mc.stats.trap_validations == len(tb.vm_names)
+        assert mc.stats.trap_pages_checked == 0
         for vm, vmi in mc._vmis.items():
             assert vmi.stats.pages_checksummed == checksummed[vm]
 
@@ -99,7 +99,7 @@ class TestTargetedRecheck:
         va = mod.base + 2 * PAGE_SIZE + 7
         kernel.aspace.write(va, kernel.aspace.read(va, 1))
         assert mc.check_pool(MODULE).report.all_clean
-        assert mc.trap_pages_checked == 1
+        assert mc.stats.trap_pages_checked == 1
         assert mc.manifests.stats.invalidations.get("page-delta") is None
 
     def test_tamper_caught_via_trap(self, warm, catalog):
@@ -118,7 +118,7 @@ class TestTargetedRecheck:
         other = kernel.module("ndis.sys")      # not under protection
         kernel.aspace.write(other.base + 64, b"\x90" * 8)
         assert mc.check_pool(MODULE).report.all_clean
-        assert mc.trap_pages_checked == 0
+        assert mc.stats.trap_pages_checked == 0
 
     def test_pending_trap_modules_names_dirty_work(self, warm):
         tb, mc = warm
@@ -129,7 +129,7 @@ class TestTargetedRecheck:
         assert mc.pending_trap_modules(tb.vm_names) == [MODULE]
         # routing persisted on the record: the next check still sees it
         assert mc.check_pool(MODULE).report.all_clean
-        assert mc.trap_pages_checked == 1
+        assert mc.stats.trap_pages_checked == 1
 
     def test_pending_trap_modules_off_path(self, clean_testbed):
         tb = clean_testbed
@@ -209,7 +209,7 @@ class TestFallbacks:
         if mode == "event":
             assert report.degraded == {}
             assert "Dom3" in report.verdicts
-            assert mc.trap_validations == 2 * 5     # warm round + this one
+            assert mc.stats.trap_validations == 2 * 5     # warm round + this one
         else:
             assert list(report.degraded) == ["Dom3"]
             assert report.degraded["Dom3"].startswith("retry-exhausted:")
@@ -234,7 +234,7 @@ class TestFallbacks:
         assert mc.check_pool(MODULE).report.all_clean
         assert mc.check_pool(MODULE).report.all_clean
         assert mc.trap_fallbacks.get("unprotectable", 0) >= 3
-        assert mc.trap_pages_checked > 0       # unarmed pages re-swept
+        assert mc.stats.trap_pages_checked > 0       # unarmed pages re-swept
 
 
 class TestGuards:
@@ -269,7 +269,7 @@ class TestGuards:
         # every protected frame trapped: the whole image re-digested
         n_pages = -(-tb.hypervisor.domain(vm).kernel
                     .module(MODULE).size_of_image // PAGE_SIZE)
-        assert mc.trap_pages_checked >= n_pages
+        assert mc.stats.trap_pages_checked >= n_pages
 
 
 class TestParallelParity:
@@ -281,7 +281,7 @@ class TestParallelParity:
         assert mc.event_driven and mc.incremental
         assert mc.check_pool(MODULE).report.all_clean
         assert mc.check_pool(MODULE).report.all_clean
-        assert mc.trap_validations == len(tb.vm_names)
+        assert mc.stats.trap_validations == len(tb.vm_names)
         victim = tb.vm_names[1]
         RuntimeCodePatchAttack().apply(
             tb.hypervisor.domain(victim).kernel, catalog[MODULE])
@@ -298,8 +298,8 @@ class TestParallelParity:
                          event_driven=True)
         for _ in range(3):
             par.check_pool(MODULE)
-        assert par.trap_validations == seq.trap_validations
-        assert par.trap_pages_checked == seq.trap_pages_checked
+        assert par.stats.trap_validations == seq.stats.trap_validations
+        assert par.stats.trap_pages_checked == seq.stats.trap_pages_checked
         assert par.trap_fallbacks == seq.trap_fallbacks
 
 
@@ -413,5 +413,5 @@ class TestTailMasking:
         hv.domain("Dom1").kernel.aspace.write(
             mod.base + mod.size_of_image, b"\xEE" * 16)
         assert mc.check_pool("dummy.sys").report.all_clean
-        assert mc.trap_pages_checked == 1
+        assert mc.stats.trap_pages_checked == 1
         assert mc.manifests.stats.invalidations.get("page-delta") is None

@@ -76,8 +76,8 @@ def soak(config: str) -> dict:
     return {"events_sha256": _sha(obs.events.to_jsonl()),
             "metrics_sha256": _sha(obs.metrics.to_prometheus()),
             "clock": repr(tb.clock.now),
-            "trap_validations": mc.trap_validations,
-            "trap_pages_checked": mc.trap_pages_checked,
+            "trap_validations": mc.stats.trap_validations,
+            "trap_pages_checked": mc.stats.trap_pages_checked,
             "trap_fallbacks": dict(sorted(mc.trap_fallbacks.items())),
             "pair_replays": mc.pair_replays}
 

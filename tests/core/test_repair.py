@@ -384,7 +384,7 @@ class TestDaemonIntegration:
         alerts = daemon.run_cycle()
         kinds = {a.kind for a in alerts}
         assert "integrity" in kinds and "repaired" in kinds
-        assert daemon.repairs_verified == 1
+        assert daemon.stats.repairs_verified_total == 1
         # next cycle: nothing left to flag
         assert daemon.run_cycle() == []
 
@@ -401,7 +401,7 @@ class TestDaemonIntegration:
             alerts = daemon.run_cycle()
         finally:
             racer.disarm()
-        assert daemon.repairs_quarantined == 1
+        assert daemon.stats.repairs_quarantined_total == 1
         assert VICTIM in daemon.quarantined
         assert any(a.kind == "repair-quarantined" for a in alerts)
         # the quarantined VM no longer votes next cycle
@@ -419,7 +419,7 @@ class TestDaemonIntegration:
             alerts = daemon.run_cycle()
         finally:
             racer.disarm()
-        assert daemon.repairs_failed == 1
+        assert daemon.stats.repairs_failed_total == 1
         assert any(a.kind == "repair-failed" for a in alerts)
 
 

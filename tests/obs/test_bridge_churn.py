@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from repro.cloud import ChaosStats, build_testbed
 from repro.core import ModChecker
+from repro.core.daemon import DaemonStats
 from repro.core.health import BreakerConfig, HealthRegistry
 from repro.obs import (BREAKER_STATE_VALUES, MetricsRegistry,
-                       record_breaker_states, record_chaos_stats,
-                       record_membership, record_vmi_instance)
+                       record_breaker_states, record_membership,
+                       record_stats, record_vmi_instance)
 
 
 class TestBreakerMetrics:
@@ -41,9 +42,9 @@ class TestBreakerMetrics:
 class TestMembershipMetrics:
     def test_pool_size_and_event_totals(self):
         reg = MetricsRegistry()
-        events = [(0.0, "admit", "A"), (1.0, "admit", "B"),
-                  (2.0, "reboot", "A"), (3.0, "evict", "B")]
-        record_membership(reg, pool_size=4, events=events)
+        stats = DaemonStats(
+            membership_events={"admit": 2, "reboot": 1, "evict": 1})
+        record_membership(reg, stats, pool_size=4)
         assert reg.gauge("modchecker_pool_size").value() == 4
         counter = reg.counter("modchecker_membership_events_total")
         assert counter.value(event="admit") == 2
@@ -51,11 +52,13 @@ class TestMembershipMetrics:
         assert counter.value(event="evict") == 1
 
     def test_cumulative_log_replays_monotonically(self):
+        # the daemon keeps running counts next to its membership log;
+        # republishing after another event moves the counter forward
         reg = MetricsRegistry()
-        events = [(0.0, "admit", "A")]
-        record_membership(reg, pool_size=3, events=events)
-        events.append((5.0, "admit", "B"))
-        record_membership(reg, pool_size=4, events=events)
+        stats = DaemonStats(membership_events={"admit": 1})
+        record_membership(reg, stats, pool_size=3)
+        stats.membership_events["admit"] += 1
+        record_membership(reg, stats, pool_size=4)
         assert reg.counter(
             "modchecker_membership_events_total").value(event="admit") == 2
 
@@ -66,7 +69,7 @@ class TestChaosMetrics:
                            migrations=1, migrations_finished=1,
                            destroys=0, creates=1)
         reg = MetricsRegistry()
-        record_chaos_stats(reg, stats)
+        record_stats(reg, stats)
         counter = reg.counter("modchecker_chaos_events_total")
         assert counter.value(kind="reboots") == 2
         assert counter.value(kind="creates") == 1

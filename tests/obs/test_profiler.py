@@ -54,6 +54,23 @@ class TestCallTree:
         profile = Profile.from_tracer(_nested_tracer())
         assert abs(sum(profile.stage_shares().values()) - 1.0) < 1e-12
 
+    def test_stage_shares_weigh_cpu_when_the_clock_is_frozen(self):
+        # deferred charging: spans take no simulated time, but the CPU
+        # charged inside them still says where the work went
+        tracer = Tracer(SimClock())
+        with tracer.span("daemon.cycle"):
+            tracer.charge("small_read", 0.001)
+            with tracer.span("modchecker.fetch", vm="Dom1"):
+                tracer.charge("page_copy", 0.003)
+        shares = Profile.from_tracer(tracer).stage_shares()
+        assert shares == {"daemon.cycle": 0.25, "modchecker.fetch": 0.75}
+        # nothing charged either: all zeros, nothing invented
+        tracer = Tracer(SimClock())
+        with tracer.span("daemon.cycle"):
+            pass
+        assert Profile.from_tracer(tracer).stage_shares() == \
+            {"daemon.cycle": 0.0}
+
 
 class TestChargeAttribution:
     def test_charge_lands_on_innermost_span_node(self):

@@ -154,6 +154,49 @@ class TestShareNoiseFloor:
         assert run(results, baseline, "--absolute") == 1
 
 
+class TestProfileGate:
+    SHARES = {"stage_shares": {"a": 0.25, "b": 0.75},
+              "op_shares": {"page_copy": 1.0}}
+
+    def write(self, path, **axes):
+        path.write_text(json.dumps({"format": "modchecker-profile/1",
+                                    "scenario": "fleet",
+                                    **{**self.SHARES, **axes}}))
+        return path
+
+    def run(self, results, baseline, *extra):
+        return bench_gate.main([str(results), "--profile",
+                                "--baseline", str(baseline), *extra])
+
+    def test_matching_shares_pass(self, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"scenarios": {"fleet": self.SHARES}}))
+        assert self.run(self.write(tmp_path / "p.json"), base) == 0
+
+    def test_all_zero_run_is_rejected(self, tmp_path):
+        zeros = {"a": 0.0, "b": 0.0}
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"scenarios": {
+            "fleet": {**self.SHARES, "stage_shares": zeros}}}))
+        run = self.write(tmp_path / "p.json", stage_shares=zeros)
+        # a zero vector matches a zero baseline exactly: still a failure
+        assert self.run(run, base) == 1
+        assert self.run(run, base, "--update") == 1
+        assert json.loads(base.read_text())["scenarios"]["fleet"][
+            "stage_shares"] == zeros        # not rebased onto zeros
+
+    def test_all_zero_baseline_is_a_schema_error(self, tmp_path):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"scenarios": {"fleet": {
+            **self.SHARES, "stage_shares": {"a": 0.0, "b": 0.0}}}}))
+        assert self.run(self.write(tmp_path / "p.json"), base) == 2
+
+    def test_repo_baseline_has_no_zero_vector(self):
+        doc = json.loads(bench_gate.DEFAULT_PROFILE_BASELINE.read_text())
+        for scenario, shares in doc["scenarios"].items():
+            assert bench_gate.zero_share_axes(shares) == [], scenario
+
+
 class TestWallclockGate:
     """Ratio tiers: real speedups gated machine-independently."""
 

@@ -7,7 +7,8 @@ temporary directory masked), of the Prometheus text and of the JSONL
 audit log (null when the run exported none). The commands cover every
 subcommand that builds a ``ModChecker`` and the flags that feed it:
 retry, faults, churn, incremental and event-driven pipelines, the
-canonical pool vote, repair, SLO tracking and the sharded fleet.
+canonical pool vote, repair, SLO tracking and the sharded fleet
+(including a churned run that retires a shard and borrows references).
 
 Refreshing after an INTENTIONAL behaviour change::
 
@@ -41,6 +42,8 @@ COMMANDS = [
     "--churn-rate 0.2 --fault-rate 0.05",
     "fleet --vms 16 --shard-size 4 --cycles 2 --infect E1 --victim Dom2 "
     "--repair",
+    "fleet --vms 12 --shard-size 1 --cycles 5 --churn-rate 0.4 --repair "
+    "--infect E1 --event-driven",
     "explain --vms 4 --infect E1",
     "dump --vms 3 --infect E1",
 ]

@@ -51,6 +51,68 @@ class TestSourceTree:
         assert vocab_lint.lint_docstring_tables() == []
 
 
+class TestMetricFamilies:
+    def test_repo_metrics_are_declared_published_and_documented(self):
+        problems, families = vocab_lint.lint_metrics(
+            Path(__file__).resolve().parent.parent / "src")
+        assert problems == []
+        assert families["modchecker_vmi_pages_mapped_total"] == "counter"
+        assert families["modchecker_repair_mttr_seconds"] == "gauge"
+        assert families["modchecker_cache_hit_ratio"] == "gauge"
+
+    def test_bad_declarations_are_caught(self):
+        from repro.counters import Series
+
+        class Rogue:
+            METRICS = (
+                Series("modchecker_x_total", "x", "a"),
+                Series("modchecker_x_total", "x", "b"),
+                Series("modchecker_x_total", "x", "c", kind="gauge"),
+                Series("modchecker_y_total", "y", "d", {"k": "v"}),
+                Series("modchecker_y_total", "y2", "e", {"k": "w"}),
+                Series("bad-name", "z", "f"),
+            )
+        problems, kinds = vocab_lint.lint_declarations([Rogue])
+        text = "\n".join(problems)
+        assert "modchecker_x_total" in text and "declared twice" in text
+        assert "both counter and gauge" in text
+        assert "two help texts" in text
+        assert "bad-name is not a valid metric name" in text
+        # one Series object reused by a subclass is not a duplicate
+        class Child:
+            METRICS = Rogue.METRICS[:1]
+        assert vocab_lint.lint_declarations([Rogue, Child])[0] == problems
+
+    def test_hand_published_sites_are_collected(self, tmp_path):
+        (tmp_path / "rogue.py").write_text(
+            'm.counter(\n    "modchecker_a_total", "a").inc()\n'
+            'm.gauge("modchecker_a_total", "a").set(1)\n'
+            'm.gauge("modchecker_vmi_retries_total", "b").set(1)\n')
+        problems, kinds = vocab_lint.lint_metric_sites(
+            tmp_path, {"modchecker_vmi_retries_total": "counter"})
+        assert kinds == {"modchecker_a_total": "counter",
+                         "modchecker_vmi_retries_total": "gauge"}
+        assert any("rogue.py:3" in p and "both counter and gauge" in p
+                   for p in problems)
+        assert any("record_stats" in p for p in problems)
+
+    def test_doc_table_is_checked_both_ways(self, tmp_path):
+        doc = tmp_path / "OBS.md"
+        doc.write_text("| metric | type | labels |\n|---|---|---|\n"
+                       "| `modchecker_a_total` | counter | — |\n"
+                       "| `modchecker_b` | counter | — |\n"
+                       "| `modchecker_gone_total` | counter | — |\n")
+        problems = vocab_lint.lint_metric_table(
+            {"modchecker_a_total": "counter", "modchecker_b": "gauge",
+             "modchecker_new_total": "counter"}, doc)
+        assert len(problems) == 3
+        assert any("modchecker_new_total" in p and "missing" in p
+                   for p in problems)
+        assert any("modchecker_gone_total" in p and "nothing publishes" in p
+                   for p in problems)
+        assert any("modchecker_b" in p and "gauge" in p for p in problems)
+
+
 class TestJsonlLogs:
     def _write(self, tmp_path, docs):
         path = tmp_path / "audit.jsonl"

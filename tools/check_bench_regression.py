@@ -40,7 +40,9 @@ comparison is two-sided and uses an *absolute* drift tolerance
 (default 0.05): work silently migrating between stages is a regression
 even when the total stays flat. The baseline holds one entry per
 scenario (``substrate``, ``fleet``), matched via the document's
-``scenario`` key.
+``scenario`` key. A share vector whose entries are all zero is
+rejected on either side (and never written by ``--update``): a drift
+gate over zeros passes whatever the run did.
 
 Usage::
 
@@ -163,6 +165,12 @@ def load_profile(path: Path) -> tuple[str, dict[str, dict[str, float]]]:
         axis: {name: float(v)
                for name, v in data.get(axis, {}).items()}
         for axis in ("stage_shares", "op_shares")}
+
+
+def zero_share_axes(shares: dict[str, dict[str, float]]) -> list[str]:
+    """Axes whose shares are present but all zero (nothing attributed)."""
+    return [axis for axis, vector in sorted(shares.items())
+            if vector and not any(vector.values())]
 
 
 def compare_profile(current: dict[str, dict[str, float]],
@@ -327,6 +335,12 @@ def main(argv: list[str] | None = None) -> int:
             args.baseline = DEFAULT_PROFILE_BASELINE
         tolerance = args.tolerance
         scenario, current = load_profile(args.results)
+        zeros = zero_share_axes(current)
+        if zeros:
+            print(f"error: {args.results} [{scenario}] attributes "
+                  f"nothing: every {' and '.join(zeros)} entry is 0",
+                  file=sys.stderr)
+            return 1
         if args.update:
             doc = {"scenarios": {}}
             if args.baseline.exists():
@@ -347,6 +361,12 @@ def main(argv: list[str] | None = None) -> int:
         if baseline is None:
             print(f"error: baseline has no scenario {scenario!r}; "
                   f"rebase with --update", file=sys.stderr)
+            return 2
+        zeros = zero_share_axes(baseline)
+        if zeros:
+            print(f"error: baseline [{scenario}] has all-zero "
+                  f"{' and '.join(zeros)}; rebase with --update",
+                  file=sys.stderr)
             return 2
         failures = compare_profile(current, baseline, tolerance)
         if failures:

@@ -21,6 +21,14 @@ name somewhere (a dead name means the docs overstate what the pipeline
 can produce), and the vocabulary tables in the ``repro.obs.events`` /
 ``repro.obs.trace`` module docstrings document every name (so a new
 family — e.g. the ``slo.*`` events — cannot land undocumented).
+
+Metric families are linted the same way. Declared families (the
+:class:`repro.counters.Series` on every stats class) must carry valid
+names, one kind and one help text per family, and no series declared
+twice; hand-published families are the literal
+``.counter(``/``.gauge(``/``.histogram(`` sites under ``src/``. The
+metric tables of ``docs/OBSERVABILITY.md`` must list exactly those
+families, with their kinds, checked both ways.
 """
 
 from __future__ import annotations
@@ -33,8 +41,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import repro.cloud  # noqa: E402,F401  (imports every declaring module)
+import repro.core.repair  # noqa: E402,F401
+from repro.counters import DECLARED  # noqa: E402
 from repro.obs.events import EVENT_NAMES  # noqa: E402
+from repro.obs.metrics import _NAME_RE  # noqa: E402
 from repro.obs.trace import OP_NAMES, SPAN_NAMES  # noqa: E402
+
+METRIC_DOC = ROOT / "docs" / "OBSERVABILITY.md"
+_FAMILY_SITE_RE = re.compile(
+    r"""\.(counter|gauge|histogram)\(\s*(['"])([^'"]+)\2""")
+_TABLE_ROW_RE = re.compile(r"^\| `(modchecker_\w+)` \| (\w+) \|",
+                           re.MULTILINE)
 
 #: (call, vocabulary, what) triples; each matches ``.call("name"`` /
 #: ``.call('name'`` with a literal first argument, across line breaks.
@@ -95,6 +113,79 @@ def lint_docstring_tables() -> list[str]:
     return problems
 
 
+def lint_declarations(classes=None) -> tuple[list[str], dict[str, str]]:
+    """(violations, {family: kind}) over the declared stats classes."""
+    problems: list[str] = []
+    kinds: dict[str, str] = {}
+    helps: dict[str, str] = {}
+    seen: dict[tuple, int] = {}
+    for cls in DECLARED if classes is None else classes:
+        for series in cls.METRICS:
+            name = series.name
+            where = f"{cls.__name__}: {name}"
+            key = (name, tuple(sorted(series.labels.items())), series.by)
+            if seen.setdefault(key, id(series)) != id(series):
+                problems.append(f"{where} {dict(key[1]) or series.by or ''}"
+                                f" declared twice")
+            if not _NAME_RE.match(name):
+                problems.append(f"{where} is not a valid metric name")
+            if series.kind not in ("counter", "gauge"):
+                problems.append(f"{where} has unknown kind {series.kind!r}")
+            if kinds.setdefault(name, series.kind) != series.kind:
+                problems.append(f"{where} declared as both "
+                                f"{kinds[name]} and {series.kind}")
+            if helps.setdefault(name, series.help) != series.help:
+                problems.append(f"{where} declared with two help texts")
+    return problems, kinds
+
+
+def lint_metric_sites(src: Path, declared: dict[str, str]
+                      ) -> tuple[list[str], dict[str, str]]:
+    """(violations, {family: kind}) over hand-published literal sites."""
+    problems: list[str] = []
+    kinds: dict[str, str] = {}
+    for path in sorted(src.rglob("*.py")):
+        text = path.read_text()
+        for match in _FAMILY_SITE_RE.finditer(text):
+            kind, name = match.group(1), match.group(3)
+            lineno = text.count("\n", 0, match.start()) + 1
+            where = f"{path.name}:{lineno}: {name}"
+            if not _NAME_RE.match(name):
+                problems.append(f"{where} is not a valid metric name")
+            if name in declared:
+                problems.append(f"{where} is declared on a stats class; "
+                                f"publish it with record_stats")
+            if kinds.setdefault(name, kind) != kind:
+                problems.append(f"{where} published as both "
+                                f"{kinds[name]} and {kind}")
+    return problems, kinds
+
+
+def lint_metric_table(families: dict[str, str],
+                      doc: Path = METRIC_DOC) -> list[str]:
+    """The doc's metric tables list exactly ``families`` (name, kind)."""
+    rows = dict(_TABLE_ROW_RE.findall(doc.read_text()))
+    problems = [f"metric {name!r} ({kind}) missing from {doc.name}"
+                for name, kind in sorted(families.items())
+                if name not in rows]
+    problems += [f"{doc.name} lists {name!r}, which nothing publishes"
+                 for name in sorted(set(rows) - set(families))]
+    problems += [f"{doc.name} lists {name!r} as {rows[name]}, "
+                 f"the code publishes a {kind}"
+                 for name, kind in sorted(families.items())
+                 if name in rows and rows[name] != kind]
+    return problems
+
+
+def lint_metrics(src: Path) -> tuple[list[str], dict[str, str]]:
+    """(violations, {family: kind}): declarations, sites and the doc."""
+    problems, declared = lint_declarations()
+    site_problems, hand = lint_metric_sites(src, declared)
+    families = {**declared, **hand}
+    return (problems + site_problems + lint_metric_table(families),
+            families)
+
+
 def lint_jsonl(path: Path) -> list[str]:
     """Validate every record of a JSONL audit log."""
     problems: list[str] = []
@@ -122,6 +213,8 @@ def main(argv: list[str]) -> int:
                 f"{what} vocabulary name {dead!r} has no literal "
                 f"{call} site anywhere under src/")
     problems.extend(lint_docstring_tables())
+    metric_problems, families = lint_metrics(ROOT / "src")
+    problems.extend(metric_problems)
     logs = 0
     for arg in argv:
         path = Path(arg)
@@ -137,7 +230,8 @@ def main(argv: list[str]) -> int:
             f"{len(used[call])} {call}" for call, _, _ in VOCABULARIES)
         total = sum(len(v) for _, v, _ in VOCABULARIES)
         print(f"vocabularies OK: {sites} site name(s), "
-              f"{total} vocabulary name(s), {logs} log(s) checked")
+              f"{total} vocabulary name(s), {len(families)} metric "
+              f"families, {logs} log(s) checked")
     return 1 if problems else 0
 
 

@@ -24,7 +24,7 @@ PACKAGES = [
 ]
 
 MODULES = [
-    "repro.errors", "repro.rng", "repro.cli",
+    "repro.errors", "repro.rng", "repro.counters", "repro.cli",
     "repro.pe.structures", "repro.pe.builder", "repro.pe.parser",
     "repro.pe.relocations", "repro.pe.exports", "repro.pe.imports",
     "repro.pe.codegen", "repro.pe.disasm", "repro.pe.checksum",
