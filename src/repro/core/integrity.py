@@ -47,6 +47,11 @@ def _keep_none(_region: str) -> bool:
     return False
 
 
+def _mismatched(a: dict[str, str], b: dict[str, str]) -> tuple[str, ...]:
+    """The regions whose digests differ between two maps, sorted."""
+    return tuple(sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k)))
+
+
 def _code_views(mod: ParsedModule, memo: dict[int, dict[str, memoryview]],
                 ) -> dict[str, memoryview]:
     """``mod``'s code regions as name -> zero-copy view, once per copy."""
@@ -92,13 +97,11 @@ class CanonicalRecord(NamedTuple):
     ``vector`` is the member's sorted ``(region, digest)`` vector, its
     code regions RVA-adjusted against the counterpart; ``ref_digests``
     maps code regions the pair adjusted to the digest of the
-    *counterpart's* adjusted bytes (those the step was asked to keep);
-    ``cost`` is the simulated Dom0 charge the step made.
+    *counterpart's* adjusted bytes (those the step was asked to keep).
     """
 
     vector: tuple
     ref_digests: dict[str, str]
-    cost: float
 
 
 class IntegrityChecker:
@@ -135,10 +138,7 @@ class IntegrityChecker:
         The one-job case of :meth:`compare_pairs`; charges the pair's
         cost and emits its ``pair.compared`` event.
         """
-        [(pair, cost)] = self.compare_pairs([(mod_a, mod_b)])
-        self._charge(cost)
-        self.emit_pair(mod_a.module_name, pair)
-        return pair
+        return self._settle([(mod_a, mod_b)])[0]
 
     def compare_pairs(self, jobs: Sequence[tuple[ParsedModule, ParsedModule]],
                       ) -> list[tuple[PairComparison, float]]:
@@ -290,9 +290,10 @@ class IntegrityChecker:
         charges the pair's cost once, and returns digests only. The
         counterpart's adjusted digest is kept for each region where
         ``want_ref(region)`` holds, or for every region when
-        ``want_ref`` is None (first occurrence wins). The record
-        is a pure function of both copies' bytes and bases, which is
-        what lets ``ModChecker`` replay it while both content keys hold.
+        ``want_ref`` is None (first occurrence wins). The record and the
+        charge are a pure function of both copies' bytes and bases,
+        which is what lets ``ModChecker`` replay them while both content
+        keys hold.
         """
         adjusted: dict[str, str] = {}
         ref_digests: dict[str, str] = {}
@@ -318,7 +319,7 @@ class IntegrityChecker:
                                          + self.costs.hash_per_byte)
         self._charge(cost)
         return CanonicalRecord(self._region_vector(mod, adjusted),
-                               ref_digests, cost)
+                               ref_digests)
 
     def check_pool_canonical(
             self, modules: list[ParsedModule], *,
@@ -390,23 +391,20 @@ class IntegrityChecker:
                  for vm in names}
 
         verdicts: dict[str, VMVerdict] = {}
+        majority_map = dict(vectors[majority[0]])
         for vm in names:
-            same = len(clusters[vectors[vm]]) - 1
-            regions: tuple[str, ...] = ()
-            if not clean[vm] and majority:
-                ref_vec = dict(vectors[majority[0]])
-                own = dict(vectors[vm])
-                diff = [k for k in (own.keys() | ref_vec.keys())
-                        if own.get(k) != ref_vec.get(k)]
-                regions = tuple(sorted(diff))
-            verdicts[vm] = VMVerdict(vm_name=vm, matches=same,
-                                     comparisons=t - 1, clean=clean[vm],
-                                     mismatched_regions=regions)
+            regions = (() if clean[vm]
+                       else _mismatched(dict(vectors[vm]), majority_map))
+            verdicts[vm] = VMVerdict(
+                vm_name=vm, matches=len(clusters[vectors[vm]]) - 1,
+                comparisons=t - 1, clean=clean[vm],
+                mismatched_regions=regions)
+        ref_vector = vectors[reference.vm_name]
+        ref_map = dict(ref_vector)
         for mod in modules[1:]:
-            a, b = vectors[reference.vm_name], vectors[mod.vm_name]
-            mism = tuple(sorted(
-                k for k in (dict(a).keys() | dict(b).keys())
-                if dict(a).get(k) != dict(b).get(k)))
+            vector = vectors[mod.vm_name]
+            mism = (() if vector == ref_vector
+                    else _mismatched(ref_map, dict(vector)))
             pair = PairComparison(reference.vm_name, mod.vm_name, mism)
             pairs.append(pair)
             self.emit_pair(reference.module_name, pair)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..counters import Series, alias, declare, fold
@@ -30,6 +31,7 @@ from ..errors import (DomainNotFound, InsufficientPool, IntrospectionFault,
                       ModuleNotLoadedError, RetryExhausted, TransientFault,
                       VMIInitError)
 from ..hypervisor.xen import Hypervisor
+from ..ledger import Entry, replay
 from ..mem.physical import PAGE_SIZE
 from ..obs import (NULL_OBS, Observability, record_pipeline_stats,
                    record_pool_report, record_stage_timings, record_stats,
@@ -273,12 +275,10 @@ class ModChecker:
         self.stats = CheckerStats()
         self.recheck_ttl = recheck_ttl
         self.manifests = ManifestStore(ttl=recheck_ttl)
-        #: the replay store of both pool votes (see :meth:`_replay`):
-        #: (module, vm_a, vm_b) -> (key_a, key_b, PairComparison) and
-        #: ("canonical", module, counterpart, member) -> (key_c, key_m,
-        #: CanonicalRecord); replayed only when both content keys still
-        #: match, so a stale entry is unreachable rather than evicted
-        self._pair_cache: LRUCache[tuple, tuple] = LRUCache(8192)
+        #: both pool votes' ledger entries (see :meth:`_run`), keyed
+        #: (module, vm_a, vm_b) or ("canonical", module, counterpart,
+        #: member); a stale entry is unreachable, not evicted
+        self._ledger: LRUCache[tuple, Entry] = LRUCache(8192)
         #: per-fetch acquisition metadata, reset by every fetch round
         self._acq_meta: dict[str, _AcqMeta] = {}
         #: each VM's searcher + parser work in the last fetch round, on
@@ -294,10 +294,11 @@ class ModChecker:
         #: series belong to the home shard, so a retired borrowed
         #: session folds into nothing this checker publishes
         self._borrowed: set[str] = set()
-        self.parser = ModuleParser(charge=self._charge, obs=obs)
-        self.checker = IntegrityChecker(rva_mode=rva_mode,
-                                        hash_algorithm=hash_algorithm,
-                                        charge=self._charge, obs=obs)
+        self.parser = ModuleParser(
+            charge=lambda cpu: self.charge("parse", cpu), obs=obs)
+        self.checker = IntegrityChecker(
+            rva_mode=rva_mode, hash_algorithm=hash_algorithm,
+            charge=lambda cpu: self.charge("compare", cpu), obs=obs)
         # Imported here, not at module top: repair pulls in the
         # forensics package, whose bundle machinery reaches back into
         # core types.
@@ -323,8 +324,12 @@ class ModChecker:
     pair_replays = alias("pair_replays")
     trap_fallbacks = alias("trap_fallbacks")
 
-    def _charge(self, cpu_seconds: float) -> None:
-        self.hv.charge_dom0(cpu_seconds)
+    def charge(self, op: str, cpu_seconds: float) -> None:
+        """Charge ``cpu_seconds`` of Dom0 work as ``op`` (an
+        :data:`~repro.obs.trace.OP_NAMES` op), traced when on."""
+        self.hv.charge_dom0(cpu_seconds, op)
+        if self.obs.tracer.enabled:
+            self.obs.tracer.charge(op, cpu_seconds)
 
     # -- VMI session management ------------------------------------------------------
 
@@ -740,7 +745,7 @@ class ModChecker:
         committed only if this round's verdict comes back clean.
         """
         digests = _page_digests(copy.image)
-        self._charge(len(copy.image) * self.costs.hash_per_byte)
+        self.hv.charge_dom0(len(copy.image) * self.costs.hash_per_byte)
         self._acq_meta[copy.vm_name] = _AcqMeta(
             ldr_entry_va=copy.ldr_entry_va, base=copy.base,
             size=len(copy.image), boot_generation=vmi.boot_generation,
@@ -758,62 +763,49 @@ class ModChecker:
             return None
         return meta_a.content_key, meta_b.content_key
 
-    def _cached(self, key: tuple, guard: tuple[str, str]) -> object | None:
-        """The result stored under ``key`` if ``guard`` still matches."""
-        cached = self._pair_cache.peek(key)
-        if cached is not None and (cached[0], cached[1]) == guard:
-            return cached[2]
-        return None
+    def _entry(self, key: tuple, guard: tuple[str, str] | None,
+               ) -> Entry | None:
+        """The ledger entry stored under ``key`` if ``guard`` matches it."""
+        entry = self._ledger.peek(key) if guard is not None else None
+        return entry if entry is not None and entry.guard == guard else None
 
-    def _replay(self, key: tuple, mod_a: ParsedModule,
-                mod_b: ParsedModule, compute: Callable[[bool], object],
-                ) -> tuple[object, bool]:
-        """Serve ``compute``'s result for one pair from ``_pair_cache``
-        while both copies' content keys still match.
-
-        Every comparison step here is a pure function of (bytes, base)
-        on both sides, and the content keys pin exactly those inputs
-        (hence the parse, ``max_rva`` and the adjustment), so a cached
-        result whose keys both still match *is* the result. Copies
-        without acquisition metadata (full mode) are neither looked up
-        nor stored; ``compute(storing)`` learns which. Returns
-        ``(result, replayed)``.
-        """
-        guard = self._guard(mod_a, mod_b)
+    def _run(self, kind: str, key: tuple, guard: tuple[str, str] | None,
+             run: Callable[[], object], deltas: tuple = ()) -> object:
+        """One step of either pool vote: a pure function of (bytes,
+        base) on both sides, which the content keys in ``guard`` pin, so
+        an entry whose guard matches is replayed. Otherwise ``run()``
+        does the work, recorded and stored when there is a guard (full
+        mode has none)."""
+        entry = self._entry(key, guard)
+        if entry is not None:
+            return replay(kind, entry, self.hv.charge_dom0, self.obs.tracer,
+                          self.stats)
         if guard is None:
-            return compute(False), False
-        cached = self._cached(key, guard)
-        if cached is not None:
-            return cached, True
-        result = compute(True)
-        self._pair_cache.put(key, (*guard, result))
-        return result, False
+            return run()
+        with self.hv.recorded_charges() as charges:
+            result = run()
+        self._ledger.put(key, Entry(guard, result, tuple(charges), deltas))
+        return result
 
     def _canonical_member(self, mod: ParsedModule,
                           counterpart: ParsedModule | None,
                           want_ref: Callable[[str], bool],
                           ) -> CanonicalRecord:
-        """One canonical-vote member step, replayed from cache when sound.
+        """One canonical-vote member step, replayed from the ledger.
 
         A stored record keeps every counterpart digest (the counterpart
         may be the reference in a later round even if it is a partner
-        now). Unlike a pairwise replay, a canonical replay still
-        charges the step's cost, once and as the same float, so the
-        simulated clock is bit-identical to the computed path; the
-        saving is host time only. Making it free, as pair replay is, is
-        a pending model change. Not counted in ``pair_replays``.
+        now).
         """
         step = self.checker.canonical_member
         if counterpart is None:
             return step(mod, None, want_ref)
-        record, replayed = self._replay(
-            ("canonical", mod.module_name, counterpart.vm_name,
-             mod.vm_name), counterpart, mod,
-            lambda storing: (step(mod, counterpart) if storing
-                             else step(mod, counterpart, want_ref)))
-        if replayed:
-            self._charge(record.cost)
-        return record
+        guard = self._guard(counterpart, mod)
+        return self._run(
+            "canonical", ("canonical", mod.module_name, counterpart.vm_name,
+                          mod.vm_name), guard,
+            lambda: (step(mod, counterpart) if guard is not None
+                     else step(mod, counterpart, want_ref)))
 
     def _update_manifests(self, module_name: str,
                           report: PoolReport) -> None:
@@ -951,38 +943,37 @@ class ModChecker:
                                              list[float]]:
         """Compare each ``(mod_a, mod_b)`` job, replaying when sound.
 
-        The jobs no replay serves are compared in one
+        The jobs no ledger entry serves are compared in one
         :meth:`IntegrityChecker.compare_pairs` batch. Then each job, in
-        order, charges its cost, is stored for replay and emits
-        ``pair.compared``, so the clock, the replay store and the event
-        stream read as a per-pair loop. A replayed
+        order, runs as a ``pair`` step of :meth:`_run` (charge, store,
+        or replay) and emits ``pair.compared``, so the clock, the
+        ledger and the event stream read as a per-pair loop. A replayed
         :class:`PairComparison` is the comparison byte for byte,
-        including its ``rva_stats``, at zero simulated cost. Returns
-        the comparisons and each one's work on the phase meter (a
-        replayed pair lengthens no worker).
+        including its ``rva_stats``, and counts in ``pair_replays``.
+        Returns the comparisons and each one's work on the phase meter.
         """
         jobs = list(jobs)
         keys = [(a.module_name, a.vm_name, b.vm_name) for a, b in jobs]
         guards = [self._guard(a, b) for a, b in jobs]
-        hits = [guard is not None and self._cached(key, guard) is not None
-                for key, guard in zip(keys, guards)]
-        computed = iter(self.checker.compare_pairs(
-            [job for job, hit in zip(jobs, hits) if not hit]))
+        misses = [i for i, (key, guard) in enumerate(zip(keys, guards))
+                  if self._entry(key, guard) is None]
+        computed = dict(zip(misses, self.checker.compare_pairs(
+            [jobs[i] for i in misses])))
+
+        def compare(i: int) -> PairComparison:
+            # a store above may have evicted a hit, as a per-pair loop's
+            # store evicts it before that pair's lookup: compare it alone
+            pair, cost = (computed.get(i)
+                          or self.checker.compare_pairs([jobs[i]])[0])
+            self.charge("compare", cost)
+            return pair
+
         pairs: list[PairComparison] = []
         work: list[float] = []
-        for (mod_a, mod_b), key, guard, hit in zip(jobs, keys, guards, hits):
+        for i, ((mod_a, _), key, guard) in enumerate(zip(jobs, keys, guards)):
             start = self._work()
-            # a store above may have evicted a hit, as a per-pair loop's
-            # store evicts it before that pair's lookup
-            pair = self._cached(key, guard) if hit else None
-            if pair is not None:
-                self.stats.pair_replays += 1
-            else:
-                pair, cost = (self.checker.compare_pairs([(mod_a, mod_b)])[0]
-                              if hit else next(computed))
-                self._charge(cost)
-                if guard is not None:
-                    self._pair_cache.put(key, (*guard, pair))
+            pair = self._run("pair", key, guard, partial(compare, i),
+                             (("pair_replays", 1),))
             self.checker.emit_pair(mod_a.module_name, pair)
             pairs.append(pair)
             work.append(self._work() - start)

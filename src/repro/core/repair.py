@@ -447,7 +447,7 @@ class RepairEngine:
                     f"reference reconstruction failed: {exc}") from exc
             # One header walk + one pass over the fixup slots, priced
             # like the parser's local buffer pass.
-            self.checker._charge(
+            self.checker.hv.charge_dom0(
                 len(reference.image) * self.checker.costs.parse_per_byte)
         return bytes(recon)
 

@@ -14,9 +14,9 @@ than crashing the checker; a transient fault still propagates, so the
 caller degrades the VM instead of silently losing a module).
 
 A walk served entirely from the session's V2P and page caches is
-recorded on the :class:`~repro.vmi.core.VMIInstance`; while every page
-it read is still cached as recorded, the next walk replays the
-recorded accounting and entries instead of re-issuing the reads
+kept as a ledger entry on the :class:`~repro.vmi.core.VMIInstance`;
+while every page it read is still cached as recorded, the next walk
+replays the entry instead of re-issuing the reads
 (:meth:`VMIInstance.replay_walk <repro.vmi.core.VMIInstance.replay_walk>`).
 """
 
@@ -94,13 +94,15 @@ class ModuleSearcher:
         vmi = self.vmi
         if not isinstance(vmi, VMIInstance):
             return self._walk_module_list()     # offline: no caches
-        replayed = vmi.replay_walk()            # drops a stale record
+        replayed = vmi.replay_walk()            # drops a stale entry
         if replayed is not None:
             return list(replayed)
-        before = vmi.read_counters()
+        if not len(vmi.v2p_cache):              # cold: cannot be all-hit
+            return self._walk_module_list()
         nodes: list[tuple[int, tuple[int, int] | None]] = []
-        entries = self._walk_module_list(nodes)
-        vmi.record_walk(before, self._walk_reads(nodes), entries)
+        with vmi.hv.recorded_charges() as charges:
+            entries = self._walk_module_list(nodes)
+        vmi.record_walk(charges, self._walk_reads(nodes), entries)
         return entries
 
     def _walk_reads(self, nodes):

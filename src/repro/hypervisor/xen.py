@@ -54,6 +54,7 @@ class Hypervisor:
         self._next_domid = 0
         self._snapshots: dict[int, dict] = {}
         self._sinks: list[_ChargeSink] = []   # deferred_charges(), innermost last
+        self._recording: list | None = None   # recorded_charges()
         self._factor, self._factor_version = 1.0, -1   # cached dom0_slowdown
         #: coalesced write traps raised by writes to protected frames
         self.traps = TrapQueue(capacity_per_vm=trap_capacity)
@@ -477,18 +478,22 @@ class Hypervisor:
         return sum(d.runnable_vcpus for d in self._domains.values()
                    if d.is_guest)
 
-    def charge_dom0(self, cpu_seconds: float) -> float:
+    def charge_dom0(self, cpu_seconds: float, op: str | None = None,
+                    ) -> float:
         """Account ``cpu_seconds`` of Dom0 work; returns elapsed sim time.
 
         The work is stretched by the contention factor derived from the
         instantaneous guest load, then advanced on the simulated clock.
         The factor is cached until :attr:`Domain.demand_version` moves.
         Inside :meth:`deferred_charges` the innermost sink collects the
-        work instead and the clock stays put.
+        work instead and the clock stays put. ``op`` names the work
+        for :meth:`recorded_charges` (None: an aggregate of ops).
         """
         if cpu_seconds < 0:
             raise ValueError("negative work")
         self.dom0_cpu_seconds += cpu_seconds
+        if self._recording is not None:
+            self._recording.append((cpu_seconds, op))
         if self._sinks:
             self._sinks[-1].total += cpu_seconds
             return 0.0
@@ -517,6 +522,21 @@ class Hypervisor:
             yield sink
         finally:
             self._sinks.pop()
+
+    @contextmanager
+    def recorded_charges(self) -> Iterator[list]:
+        """Collect each :meth:`charge_dom0` call made inside as its
+        ``(cpu_seconds, op)``, in order (a :class:`repro.ledger.Entry`'s
+        charges); charges still land as usual, and an enclosing
+        recording gets them too."""
+        outer, self._recording = self._recording, []
+        charges = self._recording
+        try:
+            yield charges
+        finally:
+            self._recording = outer
+            if outer is not None:
+                outer.extend(charges)
 
     @property
     def charges_deferred(self) -> bool:

@@ -46,9 +46,11 @@ SPAN_NAMES = (
     "modchecker.check", "daemon.cycle",
 )
 
-#: The page-op vocabulary of cost-model charge records (closed, like
+#: The op vocabulary of cost-model charge records (closed, like
 #: :data:`SPAN_NAMES`). Each name maps one :class:`~repro.perf.costmodel.
-#: CostModel` charge site in :class:`~repro.vmi.core.VMIInstance`:
+#: CostModel` charge site in :class:`~repro.vmi.core.VMIInstance`,
+#: :class:`~repro.core.parser.ModuleParser` or
+#: :class:`~repro.core.integrity.IntegrityChecker`:
 #:
 #: ==================  ==================================================
 #: ``page_translate``  one guest page-table walk (``translate_walk``)
@@ -59,10 +61,13 @@ SPAN_NAMES = (
 #: ``page_write``      one privileged remediation frame write
 #: ``small_read``      one sub-page read / trap-ring poll
 #: ``retry_probe``     one re-issued read after a transient fault
+#: ``parse``           Algorithm 1 over one copy (``parse_per_byte``)
+#: ``compare``         one pair or canonical-member comparison
 #: ==================  ==================================================
 OP_NAMES = (
     "page_translate", "page_copy", "page_checksum", "page_protect",
-    "trap_deliver", "page_write", "small_read", "retry_probe",
+    "trap_deliver", "page_write", "small_read", "retry_probe", "parse",
+    "compare",
 )
 
 

@@ -14,7 +14,7 @@ Faithful properties:
   and goes through the hypervisor's protected-frame rules;
 * **caches** — optional V2P and page caches as in libvmi, flushable
   between checking rounds; a walk that ran entirely in them is
-  replayed from a :class:`WalkRecord` (:meth:`VMIInstance.replay_walk`);
+  replayed from its ledger entry (:meth:`VMIInstance.replay_walk`);
 * **cost accounting** — each primitive charges the Dom0 CPU through the
   hypervisor's contention model, producing the simulated runtimes of
   Figs. 7–9.
@@ -31,6 +31,7 @@ from ..counters import Series, declare
 from ..errors import (IntrospectionFault, PageFault, PhysicalAddressError,
                       RetryExhausted, TransientFault, VMIInitError)
 from ..hypervisor.xen import Hypervisor
+from ..ledger import Entry, replay
 from ..mem.paging import LARGE_PAGE_SIZE, PDE_LARGE, PTE_PRESENT, walk_batch
 from ..mem.physical import PAGE_SIZE
 from ..obs import NULL_OBS, Observability
@@ -39,7 +40,7 @@ from .cache import PageCache, V2PCache
 from .retry import RetryPolicy
 from .symbols import OSProfile
 
-__all__ = ["BATCH_MIN_PAGES", "VMIStats", "VMIInstance", "WalkRecord"]
+__all__ = ["BATCH_MIN_PAGES", "VMIStats", "VMIInstance"]
 
 _PAGE_MASK = PAGE_SIZE - 1
 
@@ -124,29 +125,6 @@ class VMIStats:
     batch_fallbacks: int = 0
 
 
-@dataclass(frozen=True)
-class WalkRecord:
-    """A walk whose every read was a single-page hit in both caches.
-
-    Such a read makes no hypervisor call: it returns
-    ``page_cache[v2p[page_va] >> 12][off:off + n]`` and charges one
-    ``small_read``. So while each page still translates to ``pa_page``
-    and its frame is still cached as the same ``bytes`` object, a
-    re-run would read the same bytes, follow the same pointers and
-    return the same entries; :meth:`VMIInstance.replay_walk` replays
-    its side effects instead.
-    """
-
-    entries: tuple
-    #: ``(page_va, pa_page, frame bytes)`` per distinct page read
-    pages: tuple[tuple[int, int, bytes], ...]
-    #: each cache's touched keys, in order of last access
-    v2p_order: tuple[int, ...]
-    frame_order: tuple[int, ...]
-    reads: int
-    bytes_read: int
-
-
 def _last_access_order(keys: list[int]) -> tuple[int, ...]:
     """Distinct ``keys``, ordered by the position of their last use."""
     return tuple(reversed(dict.fromkeys(reversed(keys))))
@@ -181,8 +159,8 @@ class VMIInstance:
         self.v2p_cache = V2PCache()
         self.page_cache = PageCache()
         self.stats = VMIStats()
-        #: the last all-hit walk, served by :meth:`replay_walk`
-        self.walk_record: WalkRecord | None = None
+        #: the last all-hit walk's ledger entry, see :meth:`replay_walk`
+        self.walk_record: Entry | None = None
         self.cr3 = hypervisor.guest_cr3(domain_key)
         #: the guest's boot generation at attach time; a reboot swaps
         #: the whole address space (new CR3, new page tables), so any
@@ -205,98 +183,75 @@ class VMIInstance:
 
     # -- walk replay --------------------------------------------------------------
 
-    def read_counters(self) -> tuple[int, int, int, int, int]:
-        """The counters :meth:`record_walk` compares across a walk."""
-        s = self.stats
-        return (s.translations, s.pages_mapped, s.read_calls,
-                s.translation_cache_hits, s.page_cache_hits)
+    def record_walk(self, charges: list, reads, entries) -> None:
+        """Keep the walk as a ``walk`` ledger entry if it ran in cache.
 
-    def record_walk(self, before: tuple[int, int, int, int, int],
-                    reads, entries) -> None:
-        """Keep a :class:`WalkRecord` if the walk ran entirely in cache.
-
-        ``before`` is :meth:`read_counters` taken before the walk,
-        ``reads`` the walk's ``(va, length)`` reads in issue order (an
-        iterable, consumed only for a warm walk), ``entries`` its
-        result. The walk qualifies when caches are on, it translated
-        and mapped nothing, and each of ``read_calls`` and both cache
-        hit counters grew by exactly one per read, every read lying
-        within one page. Any other walk leaves no record.
+        ``charges`` are the walk's recorded Dom0 charges, ``reads`` its
+        ``(va, length)`` reads in issue order (an iterable, consumed
+        only for a warm walk), ``entries`` its result. One
+        ``small_read`` charge per read and nothing else (no
+        translation, frame map or retry), with every read inside one
+        page, proves each read was a single-page hit in both caches;
+        any other walk leaves no entry.
         """
         self.walk_record = None
-        translations, mapped, calls, v2p_hits, page_hits = before
-        s = self.stats
-        n = s.read_calls - calls
-        if not self.enable_caches or s.translations != translations \
-                or s.pages_mapped != mapped \
-                or s.translation_cache_hits - v2p_hits != n \
-                or s.page_cache_hits - page_hits != n:
+        if any(op != "small_read" for _, op in charges):
             return
-        reads = list(reads)
-        if len(reads) != n:
-            return
-        v2p, frames = self.v2p_cache.peek, self.page_cache.peek
-        pages: dict[int, tuple[int, int, bytes]] = {}
         page_seq: list[int] = []
-        frame_seq: list[int] = []
         total = 0
         for va, length in reads:
             offset = va & _PAGE_MASK
             if length <= 0 or offset + length > PAGE_SIZE:
                 return
-            page_va = va - offset
-            if page_va not in pages:
-                pa_page = v2p(page_va)
-                frame = None if pa_page is None else frames(pa_page >> 12)
-                if frame is None:
-                    return
-                pages[page_va] = (page_va, pa_page, frame)
-            page_seq.append(page_va)
-            frame_seq.append(pages[page_va][1] >> 12)
+            page_seq.append(va - offset)
             total += length
-        self.walk_record = WalkRecord(
-            tuple(entries), tuple(pages.values()),
-            _last_access_order(page_seq), _last_access_order(frame_seq),
-            n, total)
+        n = len(page_seq)
+        if n != len(charges):
+            return
+        v2p_order = _last_access_order(page_seq)
+        pa = {page_va: self.v2p_cache.peek(page_va) for page_va in v2p_order}
+        pages = tuple((page_va, pa_page, self.page_cache.peek(pa_page >> 12))
+                      for page_va, pa_page in pa.items())
+        frame_order = _last_access_order([pa[page_va] >> 12
+                                          for page_va in page_seq])
+        self.walk_record = Entry(
+            (pages, v2p_order, frame_order), tuple(entries), tuple(charges),
+            (("translation_cache_hits", n), ("page_cache_hits", n),
+             ("bytes_read", total), ("read_calls", n)))
 
     def replay_walk(self) -> tuple | None:
-        """The recorded walk's entries, with its accounting replayed.
+        """The recorded walk's entries, its side effects replayed.
 
-        Checks with stats-neutral peeks only that every recorded page
-        still translates to the recorded PA and that its frame is still
-        cached as the identical ``bytes`` object. If so, leaves every
-        counter, LRU order and Dom0 charge where re-running the walk's
-        reads would — one ``small_read`` charge per read, in sequence,
-        so deferred float sums stay bit-identical — and returns the
-        recorded entries. Otherwise drops the record and returns None.
+        The guard, checked with stats-neutral peeks: caches are on and
+        every recorded page still translates to the recorded PA, its
+        frame cached as the identical ``bytes`` object, so a re-run
+        would read the same bytes and return the same entries. Then
+        each cache's hits are promoted in last-access order and the
+        ledger re-applies the charges and ``VMIStats`` deltas.
+        Otherwise drops the entry and returns None.
         """
-        rec = self.walk_record
-        if rec is None:
+        entry = self.walk_record
+        if entry is None:
             return None
+        pages, v2p_order, frame_order = entry.guard
         v2p, frames = self.v2p_cache.peek, self.page_cache.peek
         if not self.enable_caches or any(
                 v2p(page_va) != pa_page or frames(pa_page >> 12) is not frame
-                for page_va, pa_page, frame in rec.pages):
+                for page_va, pa_page, frame in pages):
             self.walk_record = None
             return None
-        n = rec.reads
-        self.v2p_cache.replay_hits(rec.v2p_order, n)
-        self.page_cache.replay_hits(rec.frame_order, n)
-        s = self.stats
-        s.translation_cache_hits += n
-        s.page_cache_hits += n
-        s.bytes_read += rec.bytes_read
-        s.read_calls += n
-        charge, cost = self.hv.charge_dom0, self.costs.small_read
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            for _ in range(n):
-                charge(cost)
-                tracer.charge("small_read", cost)
-        else:
-            for _ in range(n):
-                charge(cost)
-        return rec.entries
+        n = len(entry.charges)
+        self.v2p_cache.replay_hits(v2p_order, n)
+        self.page_cache.replay_hits(frame_order, n)
+        return replay("walk", entry, self.hv.charge_dom0, self.obs.tracer,
+                      self.stats)
+
+    def charge(self, op: str, cpu_seconds: float) -> None:
+        """Charge ``cpu_seconds`` of Dom0 work as ``op`` (an
+        :data:`~repro.obs.trace.OP_NAMES` op), traced when on."""
+        self.hv.charge_dom0(cpu_seconds, op)
+        if self.obs.tracer.enabled:
+            self.obs.tracer.charge(op, cpu_seconds)
 
     # -- translation ------------------------------------------------------------
 
@@ -309,9 +264,7 @@ class VMIInstance:
                 self.stats.translation_cache_hits += 1
                 return cached | (vaddr & _PAGE_MASK)
         self.stats.translations += 1
-        self.hv.charge_dom0(self.costs.translate_walk)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.charge("page_translate", self.costs.translate_walk)
+        self.charge("page_translate", self.costs.translate_walk)
         pa_page = self._walk(page_va)
         if self.enable_caches:
             self.v2p_cache.put(page_va, pa_page)
@@ -350,11 +303,10 @@ class VMIInstance:
         if self.obs.tracer.enabled:
             with self.obs.tracer.span("vmi.read_page",
                                       vm=self.domain.name, frame=frame_no):
-                self.hv.charge_dom0(self.costs.page_map)
-                self.obs.tracer.charge("page_copy", self.costs.page_map)
+                self.charge("page_copy", self.costs.page_map)
                 page = self.hv.read_guest_frame(self.domain.domid, frame_no)
         else:
-            self.hv.charge_dom0(self.costs.page_map)
+            self.charge("page_copy", self.costs.page_map)
             page = self.hv.read_guest_frame(self.domain.domid, frame_no)
         if self.enable_caches:
             self.page_cache.put(frame_no, page)
@@ -391,10 +343,7 @@ class VMIInstance:
                         f"{self.domain.name}: {what} still failing after "
                         f"{self.retry.max_attempts} attempts: {exc}") from exc
                 self.stats.retries += 1
-                self.hv.charge_dom0(self.costs.retry_probe)
-                if self.obs.tracer.enabled:
-                    self.obs.tracer.charge("retry_probe",
-                                           self.costs.retry_probe)
+                self.charge("retry_probe", self.costs.retry_probe)
                 self.hv.clock.advance(self.retry.backoff(attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -412,9 +361,7 @@ class VMIInstance:
             pos += n
         self.stats.bytes_read += length
         self.stats.read_calls += 1
-        self.hv.charge_dom0(self.costs.small_read)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.charge("small_read", self.costs.small_read)
+        self.charge("small_read", self.costs.small_read)
         return bytes(out)
 
     # -- virtual reads ----------------------------------------------------------------
@@ -486,9 +433,7 @@ class VMIInstance:
             pos += n
         self.stats.bytes_read += length
         self.stats.read_calls += 1
-        self.hv.charge_dom0(self.costs.small_read)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.charge("small_read", self.costs.small_read)
+        self.charge("small_read", self.costs.small_read)
         return bytes(out)
 
     # -- vectorised acquisition -------------------------------------------------
@@ -654,17 +599,13 @@ class VMIInstance:
                 self.costs.range_read_cost(walked=walked, mapped=mapped))
         else:
             if walked:
-                self.hv.charge_dom0(walked * self.costs.translate_walk)
-                tracer.charge("page_translate",
-                              walked * self.costs.translate_walk)
+                self.charge("page_translate",
+                            walked * self.costs.translate_walk)
             if mapped:
                 with tracer.span("vmi.read_page", vm=self.domain.name,
                                  pages=mapped, batch=True):
-                    self.hv.charge_dom0(mapped * self.costs.page_map)
-                    tracer.charge("page_copy",
-                                  mapped * self.costs.page_map)
-            self.hv.charge_dom0(self.costs.small_read)
-            tracer.charge("small_read", self.costs.small_read)
+                    self.charge("page_copy", mapped * self.costs.page_map)
+            self.charge("small_read", self.costs.small_read)
         self.stats.batch_reads += 1
         self.stats.batch_pages += n_pages
 
@@ -693,9 +634,7 @@ class VMIInstance:
         digest = self.hv.checksum_guest_frame(self.domain.domid, pa >> 12,
                                               length)
         self.stats.pages_checksummed += 1
-        self.hv.charge_dom0(self.costs.page_checksum)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.charge("page_checksum", self.costs.page_checksum)
+        self.charge("page_checksum", self.costs.page_checksum)
         return digest
 
     def checksum_va_range(self, vaddr: int, length: int,
@@ -793,12 +732,9 @@ class VMIInstance:
                 walked=walked, pages=n_pages))
         else:
             if walked:
-                self.hv.charge_dom0(walked * self.costs.translate_walk)
-                tracer.charge("page_translate",
-                              walked * self.costs.translate_walk)
-            self.hv.charge_dom0(n_pages * self.costs.page_checksum)
-            tracer.charge("page_checksum",
-                          n_pages * self.costs.page_checksum)
+                self.charge("page_translate",
+                            walked * self.costs.translate_walk)
+            self.charge("page_checksum", n_pages * self.costs.page_checksum)
         stats.batch_reads += 1
         stats.batch_pages += n_pages
         return digests
@@ -867,10 +803,7 @@ class VMIInstance:
                 if self.hv.protect_guest_frame(self.domain.domid,
                                                pa >> 12):
                     self.stats.pages_protected += 1
-                    self.hv.charge_dom0(self.costs.page_protect)
-                    if self.obs.tracer.enabled:
-                        self.obs.tracer.charge("page_protect",
-                                               self.costs.page_protect)
+                    self.charge("page_protect", self.costs.page_protect)
                     gfns.append(pa >> 12)
                 else:
                     self.stats.pages_unprotectable += 1
@@ -922,9 +855,7 @@ class VMIInstance:
             self._retrying(put, f"write VA page {va & ~_PAGE_MASK:#x}")
             self.stats.pages_written += 1
             self.stats.bytes_written += n
-            self.hv.charge_dom0(self.costs.page_write)
-            if self.obs.tracer.enabled:
-                self.obs.tracer.charge("page_write", self.costs.page_write)
+            self.charge("page_write", self.costs.page_write)
             pos += n
 
     def drain_traps(self):

@@ -119,8 +119,8 @@ class TestDaemon:
         elapsed = []
         charge = hv.charge_dom0
         monkeypatch.setattr(hv, "charge_dom0",
-                            lambda cpu: elapsed.append(charge(cpu))
-                            or elapsed[-1])
+                            lambda cpu, op=None: elapsed.append(
+                                charge(cpu, op)) or elapsed[-1])
         daemon.run_cycle()
         assert sum(elapsed) > 0
         assert tb.clock.now - t0 == pytest.approx(sum(elapsed) + 30.0,

@@ -30,6 +30,7 @@ from repro.core.integrity import IntegrityChecker
 from repro.core.parser import ParsedModule
 from repro.core.rva import adjust_rva_pool, scan_pool
 from repro.guest import STANDARD_CATALOG, build_catalog
+from repro.ledger import Entry
 from repro.obs import make_observability
 from repro.pe.parser import Region
 from repro.vmi.cache import LRUCache
@@ -354,19 +355,24 @@ def test_charges_and_region_order_independent_of_hash_seed():
 
 def _per_pair_compare(mc: ModChecker):
     """The per-pair loop the batch replaced, as a reference: look up,
-    compare, store and emit one job at a time."""
+    compare, store and emit one job at a time. A stored pair replays
+    free and counts in ``pair_replays``."""
 
     def compare(jobs):
         pairs, work = [], []
         for mod_a, mod_b in jobs:
             start = mc._work()
-            pair, replayed = mc._replay(
-                (mod_a.module_name, mod_a.vm_name, mod_b.vm_name),
-                mod_a, mod_b,
-                lambda _storing: mc.checker.compare_pair(mod_a, mod_b))
-            if replayed:
+            key = (mod_a.module_name, mod_a.vm_name, mod_b.vm_name)
+            guard = mc._guard(mod_a, mod_b)
+            entry = mc._entry(key, guard)
+            if entry is not None:
+                pair = entry.result
                 mc.pair_replays += 1
                 mc.checker.emit_pair(mod_a.module_name, pair)
+            else:
+                pair = mc.checker.compare_pair(mod_a, mod_b)
+                if guard is not None:
+                    mc._ledger.put(key, Entry(guard, pair, ()))
             pairs.append(pair)
             work.append(mc._work() - start)
         return pairs, work
@@ -407,7 +413,7 @@ def _soak(reference: bool, scenario=_three_rounds, *, vms: int = 6,
     mc = ModChecker(tb.hypervisor, tb.profile, obs=obs, workers=workers,
                     **kwargs)
     if cache is not None:
-        mc._pair_cache = LRUCache(cache)
+        mc._ledger = LRUCache(cache)
     if reference:
         mc._compare_pairs = _per_pair_compare(mc)
     work: list = []
@@ -422,7 +428,7 @@ def _soak(reference: bool, scenario=_three_rounds, *, vms: int = 6,
     scenario(tb, mc)
     return {"events": obs.events.to_jsonl(), "clock": tb.clock.now.hex(),
             "work": work, "replays": mc.pair_replays,
-            "cache": mc._pair_cache.keys(),
+            "cache": mc._ledger.keys(),
             "dom0": tb.hypervisor.dom0_cpu_seconds.hex()}
 
 

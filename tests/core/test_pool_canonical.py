@@ -236,7 +236,7 @@ class TestReplay:
             calls = self._count_adjusts(mc)
             mc.check_pool(self.MODULE, mode="canonical")
             if not replay:
-                mc._pair_cache = LRUCache(8192)
+                mc._ledger = LRUCache(8192)
             start = tb.clock.now
             before = len(calls)
             outcome = mc.check_pool(self.MODULE, mode="canonical")
@@ -353,10 +353,10 @@ class TestReplay:
         for mode in ("canonical", "pairwise") * 3:
             report, _ = self._check(mc, calls, mode=mode)
             self._assert_matches_full(tb, report, mode=mode)
-        keys = mc._pair_cache.keys()
+        keys = mc._ledger.keys()
         assert len(keys) == 5 + 15      # t-1 canonical steps + C(6,2)
         for key in keys:
-            _, _, value = mc._pair_cache.peek(key)
+            value = mc._ledger.peek(key).result
             canonical = key[0] == "canonical"
             assert isinstance(value, PairComparison) != canonical
         assert mc.pair_replays == 2 * 15
@@ -370,4 +370,4 @@ class TestReplay:
         _, first = self._check(mc, calls)
         _, second = self._check(mc, calls)
         assert first == second > 0
-        assert len(mc._pair_cache) == 0
+        assert len(mc._ledger) == 0

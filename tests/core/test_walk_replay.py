@@ -1,33 +1,45 @@
-"""Differential tests: a replayed LDR walk equals re-running it.
+"""Differential tests: a ledger replay equals re-running the work.
 
-A walk whose every read was a single-page hit in both VMI caches is
-recorded on its session; the next walk replays it while every page it
-read is still cached as recorded. Each scenario here runs two
-identically seeded worlds step by step. In the *real* world the
-session's record is dropped before each walk, so every walk re-runs;
-in the *replay* world walks replay whenever the record holds. After
-every step both worlds must agree on the walk's outcome and on the
-whole observable state: every ``VMIStats`` field, each cache's hits,
-misses and key order, ``hv.dom0_cpu_seconds``, the simulated clock, the
-deferred sink's total, the fault injector's read count, and (when
-enabled) every tracer span and charge. Floats compare with ``==``.
+The replay ledger (:mod:`repro.ledger`) serves three kinds of step: an
+LDR walk whose every read was a single-page hit in both VMI caches
+(replayed while every page it read is still cached as recorded), a
+canonical-vote member step and a pairwise comparison (both replayed
+while the two copies' content keys hold). Each scenario here runs two
+identically seeded worlds step by step. In the *real* world every walk
+drops its session's entry first and every vote's ledger lookup misses,
+so all the work re-runs; in the *replay* world entries replay whenever
+their guard holds. After every step both worlds must agree on the
+step's outcome and on the whole observable state: every ``VMIStats``
+field, each cache's hits, misses and key order, ``hv.dom0_cpu_seconds``,
+the simulated clock, the deferred sink's total, the fault injector's
+read count, and (when enabled) every tracer span and charge. Floats
+compare as ``float.hex``. That is the contract of the ``recharge``
+policy (``walk`` and ``canonical``); a ``free`` replay (``pair``)
+charges nothing and counts itself in ``pair_replays`` instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
+from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 
+import repro.core.modchecker as modchecker_module
+import repro.vmi.core as vmi_module
+from repro import ledger
+from repro.attacks.memory import RuntimeCodePatchAttack
 from repro.cloud import FLEET_VARIANTS, Fleet, build_fleet_testbed, \
     build_testbed
 from repro.core import ModChecker, ModuleSearcher
 from repro.errors import IntrospectionFault
+from repro.hypervisor.clock import SimClock
 from repro.hypervisor.faults import FaultConfig, FaultInjector
-from repro.obs import NULL_METRICS, Observability, Tracer
+from repro.obs import NULL_METRICS, NULL_TRACER, Observability, Tracer, \
+    make_observability
 from repro.vmi import LRUCache, VMIInstance
 from repro.vmi.core import _last_access_order
 
@@ -51,8 +63,22 @@ def replays(monkeypatch):
 
 
 @pytest.fixture
-def real_walks(monkeypatch):
-    """Context factory: inside it, every walk drops its record first."""
+def kinds(monkeypatch):
+    """Counts :func:`repro.ledger.replay` calls by kind."""
+    served = Counter()
+    for module in (vmi_module, modchecker_module):
+        def counting(kind, *args, _replay=module.replay):
+            served[kind] += 1
+            return _replay(kind, *args)
+
+        monkeypatch.setattr(module, "replay", counting)
+    return served
+
+
+@pytest.fixture
+def real_runs(monkeypatch):
+    """Context factory: inside it, every walk drops its entry first and
+    every ledger lookup of a pool vote misses, so all work re-runs."""
     original = ModuleSearcher.list_modules
 
     def forced(self):
@@ -63,6 +89,7 @@ def real_walks(monkeypatch):
     def context():
         with monkeypatch.context() as m:
             m.setattr(ModuleSearcher, "list_modules", forced)
+            m.setattr(ModChecker, "_entry", lambda *_: None)
             yield
 
     return context
@@ -70,13 +97,15 @@ def real_walks(monkeypatch):
 
 def _state(world) -> dict:
     hv = world.hv
-    out = {"clock": hv.clock.now, "dom0": hv.dom0_cpu_seconds}
+    out = {"clock": hv.clock.now.hex(), "dom0": hv.dom0_cpu_seconds.hex()}
     if world.injector is not None:
         out["faults"] = world.injector.stats.as_dict()
     if world.tracer is not None:
         out["spans"] = [(s.name, s.span_id, s.parent_id, s.start, s.end,
                          s.attrs) for s in world.tracer.spans]
         out["charges"] = list(world.tracer.charges)
+    if getattr(world, "obs", None) is not None:
+        out["events"] = world.obs.events.to_jsonl()
     for i, vmi in enumerate(world.sessions()):
         out[f"{i}:{vmi.domain.name}"] = (
             dataclasses.asdict(vmi.stats),
@@ -92,7 +121,7 @@ def _outcome(step, world):
         return "raised", type(exc).__name__, str(exc)
 
 
-def _differential(build, steps, real_walks, replays):
+def _differential(build, steps, real_runs, replays):
     """Run ``steps`` on a real and a replay world; compare after each.
 
     Returns the replay world, each step's outcome, and the VMs whose
@@ -101,7 +130,7 @@ def _differential(build, steps, real_walks, replays):
     real, replay = build(), build()
     outcomes, served = [], []
     for step in steps:
-        with real_walks():
+        with real_runs():
             expected = _outcome(step, real)
         assert not replays, "a forced-real walk replayed"
         got = _outcome(step, replay)
@@ -206,46 +235,46 @@ NOT_DOM1 = ["Dom2", "Dom3"]
 
 
 class TestPoolDifferential:
-    def test_warm_steady_state(self, real_walks, replays):
+    def test_warm_steady_state(self, real_runs, replays):
         world, outcomes, served = _differential(_pool(), _warm(4),
-                                                real_walks, replays)
+                                                real_runs, replays)
         # cold, warm (recorded), then replayed
         assert served == [[], [], ALL, ALL]
         assert outcomes[1] == outcomes[2] == outcomes[3]
         assert all(v.walk_record is not None for v in world.sessions())
 
-    def test_clocked_steady_state(self, real_walks, replays):
+    def test_clocked_steady_state(self, real_runs, replays):
         _, _, served = _differential(_pool(), [walk_all_clocked] * 4,
-                                     real_walks, replays)
+                                     real_runs, replays)
         assert served == [[], [], ALL, ALL]
 
     def test_dkom_unlink_behind_warm_cache_serves_stale_list(
-            self, real_walks, replays):
+            self, real_runs, replays):
         """Both paths serve the list the warm cache still holds; closing
         the page-cache staleness hole changes both together."""
         _, outcomes, served = _differential(
-            _pool(), _warm() + [unlink_dummy, walk_all], real_walks,
+            _pool(), _warm() + [unlink_dummy, walk_all], real_runs,
             replays)
         assert served[-1] == ALL
         lists, _ = outcomes[-1][1]
         assert "dummy.sys" in [e.name for e in lists[0]]
 
-    def test_evicted_node_frame_forces_real_walk(self, real_walks,
+    def test_evicted_node_frame_forces_real_walk(self, real_runs,
                                                  replays):
         _, _, served = _differential(
             _pool(),
             _warm() + [evict_hal_node_frame, walk_all, walk_all, walk_all],
-            real_walks, replays)
+            real_runs, replays)
         # Dom1 re-maps the frame, walks warm (recorded), then replays
         assert served[-3:] == [NOT_DOM1, NOT_DOM1, ALL]
 
-    def test_remapped_frames_force_real_walk(self, real_walks, replays):
+    def test_remapped_frames_force_real_walk(self, real_runs, replays):
         """Equal translations are not enough: a frame re-mapped as a new
         ``bytes`` object carries the unlink, so the record must miss."""
         _, outcomes, served = _differential(
             _pool(), _warm() + [unlink_dummy, walk_all, remap_dom1_frames,
                                 walk_all, walk_all],
-            real_walks, replays)
+            real_runs, replays)
         assert served[-4] == ALL and served[-2:] == [NOT_DOM1, ALL]
 
         def dom1_names(outcome):
@@ -255,10 +284,10 @@ class TestPoolDifferential:
         assert "dummy.sys" in dom1_names(outcomes[-4])      # stale cache
         assert "dummy.sys" not in dom1_names(outcomes[-2])
 
-    def test_flush_forces_real_walks(self, real_walks, replays):
+    def test_flush_forces_real_walks(self, real_runs, replays):
         _, _, served = _differential(
             _pool(), _warm() + [flush_dom1, walk_all, walk_all, walk_all],
-            real_walks, replays)
+            real_runs, replays)
         assert served[-3:] == [NOT_DOM1, NOT_DOM1, ALL]
 
     def test_flush_drops_the_record(self):
@@ -270,39 +299,39 @@ class TestPoolDifferential:
         vmi.flush_caches()
         assert vmi.walk_record is None
 
-    def test_changed_v2p_entry_forces_real_walk(self, real_walks, replays):
+    def test_changed_v2p_entry_forces_real_walk(self, real_runs, replays):
         _, _, served = _differential(
             _pool(), _warm() + [retarget_head_v2p, walk_all, walk_all],
-            real_walks, replays)
+            real_runs, replays)
         assert served[-2] == NOT_DOM1
 
-    def test_reboot_starts_a_session_without_record(self, real_walks,
+    def test_reboot_starts_a_session_without_record(self, real_runs,
                                                     replays):
         world, _, served = _differential(
             _pool(), _warm() + [reboot_dom2, walk_all, walk_all, walk_all],
-            real_walks, replays)
+            real_runs, replays)
         assert world.mc.vmi_for("Dom2") is not world.retired[0]
         # the new session walks cold, then warm (recorded), then replays
         assert served[-3:] == [["Dom1", "Dom3"], ["Dom1", "Dom3"], ALL]
 
-    def test_tracer_enabled(self, real_walks, replays):
+    def test_tracer_enabled(self, real_runs, replays):
         world, _, served = _differential(
-            _pool(traced=True), [walk_all_clocked] * 3, real_walks,
+            _pool(traced=True), [walk_all_clocked] * 3, real_runs,
             replays)
         assert served[-1] == ALL
         assert any(c.op == "small_read" for c in world.tracer.charges)
 
-    def test_inert_injector(self, real_walks, replays):
+    def test_inert_injector(self, real_runs, replays):
         world, _, served = _differential(
-            _pool(fault_config=FaultConfig()), _warm(), real_walks,
+            _pool(fault_config=FaultConfig()), _warm(), real_runs,
             replays)
         assert served[-1] == ALL
         assert world.injector.stats.reads > 0
 
-    def test_live_injector(self, real_walks, replays):
+    def test_live_injector(self, real_runs, replays):
         world, _, served = _differential(
             _pool(fault_config=FaultConfig(transient_rate=0.02)),
-            _warm(4), real_walks, replays)
+            _warm(4), real_runs, replays)
         assert served[-1] == ALL
         assert world.injector.stats.transient > 0
 
@@ -371,10 +400,130 @@ def fleet_cycle(world):
             [(shard, str(alert)) for shard, alert in world.fleet.alert_log])
 
 
-def test_fleet_steady_state(real_walks, replays):
-    _, _, served = _differential(_fleet, [fleet_cycle] * 5, real_walks,
+def test_fleet_steady_state(real_runs, replays):
+    _, _, served = _differential(_fleet, [fleet_cycle] * 5, real_runs,
                                  replays)
     assert len(served[-1]) >= 24
+
+
+# -- the vote kinds: canonical (recharge) and pair (free) ---------------------
+
+MODULE = "hal.dll"
+
+
+def _vote_pool():
+    """Six VMs voting incrementally: both vote kinds can replay. (The
+    caches are flushed every round, so a tamper reaches the vote.)"""
+    def build():
+        tb = build_testbed(6, seed=SEED)
+        obs = make_observability(tb.clock)
+        mc = ModChecker(tb.hypervisor, tb.profile, obs=obs, incremental=True)
+        return SimpleNamespace(
+            tb=tb, hv=tb.hypervisor, mc=mc, obs=obs, injector=None,
+            tracer=obs.tracer,
+            sessions=lambda: [mc.vmi_for(vm) for vm in mc.pool_vm_names()])
+    return build
+
+
+def canonical_vote(world):
+    report = world.mc.check_pool(MODULE, mode="canonical").report
+    return report.verdicts, report.pairs
+
+
+def pairwise_vote(world):
+    report = world.mc.check_pool(MODULE).report
+    return report.verdicts, report.pairs
+
+
+def tamper_dom3(world):
+    RuntimeCodePatchAttack().apply(world.hv.domain("Dom3").kernel,
+                                   world.tb.catalog[MODULE])
+
+
+VOTES = [canonical_vote] * 3 + [tamper_dom3] + [canonical_vote] * 2
+
+
+def _compares(charges):
+    return [cpu for cpu, op in charges if op == "compare"]
+
+
+class TestVoteKinds:
+    def test_canonical_replay_equals_recompute(self, real_runs, replays,
+                                               kinds):
+        """``recharge``: clock, Dom0 CPU, tracer charges, events,
+        ``VMIStats`` and LRU order as if every step re-ran."""
+        world, outcomes, _ = _differential(_vote_pool(), VOTES, real_runs,
+                                           replays)
+        # two warm rounds of five members, then Dom3's step misses once
+        assert kinds["canonical"] == 5 + 5 + 4 + 5
+        assert kinds["pair"] == world.mc.pair_replays == 0
+        verdicts, _ = outcomes[-1][1]
+        assert [vm for vm, v in verdicts.items() if not v.clean] == ["Dom3"]
+
+    def test_pair_replay_is_free_and_counted(self, real_runs, kinds):
+        real, replay = _vote_pool()(), _vote_pool()()
+        for world in (real, replay):
+            pairwise_vote(world)
+        with real_runs(), real.hv.recorded_charges() as real_charges:
+            expected = pairwise_vote(real)
+        assert kinds["pair"] == 0
+        traced = len(replay.tracer.charges)
+        with replay.hv.recorded_charges() as replay_charges:
+            got = pairwise_vote(replay)
+        assert got == expected
+        assert kinds["pair"] == replay.mc.pair_replays == 15
+        assert real.mc.pair_replays == 0
+        assert len(_compares(real_charges)) == 15
+        assert _compares(replay_charges) == []
+        # the replay world skips exactly the comparison charges
+        assert [c for c in real_charges if c[1] != "compare"] \
+            == replay_charges
+        assert not [c for c in replay.tracer.charges[traced:]
+                    if c.op == "compare"]
+
+    def test_free_canonical_moves_only_the_clock(self, monkeypatch):
+        """The canonical row set to ``free``: the same verdicts, events
+        and counters; only the clock and the Dom0 CPU it charges move."""
+        def run():
+            world = _vote_pool()()
+            return world, [step(world) for step in VOTES]
+
+        recharged, want = run()
+        monkeypatch.setitem(ledger.POLICY, "canonical", "free")
+        freed, got = run()
+        assert got == want
+        assert freed.hv.clock.now < recharged.hv.clock.now
+        assert freed.hv.dom0_cpu_seconds < recharged.hv.dom0_cpu_seconds
+
+        def unclocked(world):
+            state = _state(world)
+            return ([(e.seq, e.name, e.check_id, e.attrs)
+                     for e in world.obs.events.events],
+                    {k: v for k, v in state.items()
+                     if k not in ("clock", "dom0", "spans", "charges",
+                                  "events")},
+                    dataclasses.asdict(world.mc.stats))
+
+        assert unclocked(freed) == unclocked(recharged)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("kind", ["walk", "pair"])
+def test_replay_applies_policy_and_deltas(kind, traced):
+    """One :func:`repro.ledger.replay`: ``recharge`` re-issues each
+    recorded charge in order (traced under its op when the tracer is
+    on), ``free`` none; the deltas apply under both."""
+    charges = ((0.5, "small_read"), (0.25, "compare"), (0.125, "parse"))
+    entry = ledger.Entry("guard", "result", charges, (("reads", 3),))
+    issued = []
+    tracer = Tracer(SimClock()) if traced else NULL_TRACER
+    stats = SimpleNamespace(reads=1)
+    assert ledger.replay(kind, entry, lambda *c: issued.append(c), tracer,
+                         stats) == "result"
+    assert stats.reads == 4
+    want = charges if ledger.POLICY[kind] == "recharge" else ()
+    assert tuple(issued) == want
+    assert [(c.cpu, c.op) for c in tracer.charges] == list(want * traced)
 
 
 # -- LRU promotion order ------------------------------------------------------
