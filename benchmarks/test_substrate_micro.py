@@ -161,6 +161,21 @@ def test_bench_walk_warm_real(benchmark, warm_walk_env):
     assert len(entries) == 10
 
 
+def test_bench_walk_cold(benchmark, warm_walk_env):
+    """A cold LDR walk: both caches flushed, every page walked and
+    mapped again — the discovery the pool and daemon workloads pay
+    each round after ``flush_caches``."""
+    vmi, searcher = warm_walk_env
+
+    def walk():
+        vmi.flush_caches()
+        return searcher.list_modules()
+
+    entries = benchmark(walk)
+    assert len(entries) == 10
+    assert vmi.stats.translations and vmi.walk_record is None
+
+
 def test_bench_walk_replayed(benchmark, warm_walk_env):
     """The same warm walk served from the session's record."""
     vmi, searcher = warm_walk_env

@@ -23,6 +23,7 @@ and executable sections.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 
 from ..errors import ModuleLoadError
@@ -63,6 +64,9 @@ class ModuleLoader:
         self.layout = layout
         #: (dll name lowercased, symbol) -> VA; fed by loaded modules.
         self.export_table: dict[tuple[str, str], int] = {}
+        #: dll name lowercased -> its exported symbols, in the order
+        #: they entered :attr:`export_table` (the fallback pick's list)
+        self.dll_symbols: dict[str, list[str]] = {}
 
     # -- export bookkeeping -----------------------------------------------------
 
@@ -86,9 +90,13 @@ class ModuleLoader:
             if dll_name.lower() != name.lower():
                 raise ModuleLoadError(
                     f"{name}: export directory names {dll_name!r}")
+            dll = name.lower()
+            symbols = self.dll_symbols.setdefault(dll, [])
             for symbol, rva in by_name.items():
                 exports[symbol] = base + rva
-                self.export_table[(name.lower(), symbol)] = base + rva
+                if (dll, symbol) not in self.export_table:
+                    symbols.append(symbol)
+                self.export_table[(dll, symbol)] = base + rva
         return exports
 
     def _resolve_import(self, dll: str, symbol: str,
@@ -96,19 +104,22 @@ class ModuleLoader:
         """Resolve ``dll!symbol`` against already-loaded exporters.
 
         Unknown symbols map deterministically onto one of the
-        exporter's functions (stable across VMs), mimicking ordinal
-        resolution; a missing exporter is a load error, as on Windows.
+        exporter's functions, mimicking ordinal resolution: the pick is
+        a CRC-32 of the symbol name, so it is the same in every VM and
+        every process (``hash`` of a str changes with
+        ``PYTHONHASHSEED``). A missing exporter is a load error, as on
+        Windows.
         """
         key = (dll.lower(), symbol)
         if key in self.export_table:
             return self.export_table[key]
-        candidates = [(d, s) for (d, s) in self.export_table if d == dll.lower()]
+        candidates = self.dll_symbols.get(key[0])
         if not candidates:
             raise ModuleLoadError(
                 f"{importer_name}: import {dll}!{symbol} — "
                 f"exporter not loaded")
-        pick = candidates[hash(symbol) % len(candidates)]
-        return self.export_table[pick]
+        pick = candidates[zlib.crc32(symbol.encode()) % len(candidates)]
+        return self.export_table[(key[0], pick)]
 
     # -- loading -----------------------------------------------------------------
 

@@ -206,6 +206,8 @@ class Hypervisor:
             "files": dict(kernel.fs._files),
             "modules": dict(kernel.modules),
             "exports": dict(kernel.loader.export_table),
+            "dll_symbols": {dll: list(symbols) for dll, symbols
+                            in kernel.loader.dll_symbols.items()},
         }
 
     def revert(self, key: int | str) -> None:
@@ -221,6 +223,8 @@ class Hypervisor:
         kernel.fs._files = dict(snap["files"])
         kernel.modules = dict(snap["modules"])
         kernel.loader.export_table = dict(snap["exports"])
+        kernel.loader.dll_symbols = {
+            dll: list(symbols) for dll, symbols in snap["dll_symbols"].items()}
         # A revert rewrites frame contents *behind* the ordinary write
         # path (same object, new frames). The boot generation does not
         # change, so armed monitors would coast on stale digests — raise

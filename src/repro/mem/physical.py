@@ -23,6 +23,10 @@ __all__ = ["PAGE_SIZE", "PhysicalMemory", "FrameAllocator"]
 PAGE_SIZE = 0x1000
 PAGE_SHIFT = 12
 
+#: the contents of an untouched frame (read-only, shared)
+_ZERO_FRAME = np.zeros(PAGE_SIZE, dtype=np.uint8)
+_ZERO_FRAME.flags.writeable = False
+
 
 class PhysicalMemory:
     """Sparse byte-addressable physical memory of one guest."""
@@ -74,8 +78,9 @@ class PhysicalMemory:
         """Copy many frames into one ``(n, PAGE_SIZE)`` uint8 matrix.
 
         The batched-acquisition primitive: one bounds check over the
-        whole request, then one numpy row-copy per frame (untouched
-        frames read as zeros), with no intermediate ``bytes`` objects.
+        whole request, then one ``np.concatenate`` of the frames
+        (untouched frames read as zeros) into a fresh, writable matrix,
+        with no intermediate ``bytes`` objects.
         Duplicate frame numbers are allowed and copied once per
         occurrence, mirroring a per-page read loop.
         """
@@ -88,13 +93,12 @@ class PhysicalMemory:
             raise PhysicalAddressError(
                 f"frame {bad:#x} beyond installed memory "
                 f"({self.n_frames:#x} frames)")
-        out = np.zeros((fnos.size, PAGE_SIZE), dtype=np.uint8)
-        frames = self._frames
-        for i, frame_no in enumerate(fnos.tolist()):
-            frame = frames.get(frame_no)
-            if frame is not None:
-                out[i] = frame
-        return out
+        if not fnos.size:
+            return np.zeros((0, PAGE_SIZE), dtype=np.uint8)
+        get = self._frames.get
+        return np.concatenate(
+            [get(frame_no, _ZERO_FRAME) for frame_no in fnos.tolist()]
+        ).reshape(-1, PAGE_SIZE)
 
     # -- byte-level access ---------------------------------------------------------
 
@@ -103,6 +107,12 @@ class PhysicalMemory:
         if paddr < 0 or length < 0 or paddr + length > self.size:
             raise PhysicalAddressError(
                 f"read [{paddr:#x}, {paddr + length:#x}) outside memory")
+        offset = paddr & (PAGE_SIZE - 1)
+        if offset + length <= PAGE_SIZE:
+            # one frame (a page-table entry, a pointer): no assembly
+            frame = self._frames.get(paddr >> PAGE_SHIFT)
+            return bytes(length) if frame is None \
+                else frame[offset:offset + length].tobytes()
         out = bytearray(length)
         pos = 0
         while pos < length:

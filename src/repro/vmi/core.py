@@ -22,7 +22,6 @@ Faithful properties:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,109 +270,182 @@ class VMIInstance:
         return pa_page | (vaddr & _PAGE_MASK)
 
     def _walk(self, page_va: int) -> int:
-        pde_i = (page_va >> 22) & 0x3FF
-        pte_i = (page_va >> 12) & 0x3FF
         pd_base = self.cr3 & ~_PAGE_MASK
-        pde, = struct.unpack(
-            "<I", self.hv.read_guest_physical(self.domain.domid,
-                                              pd_base + 4 * pde_i, 4))
+        pde = int.from_bytes(self.hv.read_guest_physical(
+            self.domain.domid, pd_base + 4 * ((page_va >> 22) & 0x3FF), 4),
+            "little")
         if not pde & PTE_PRESENT:
             raise PageFault(page_va, f"PDE not present for {page_va:#x}")
         if pde & PDE_LARGE:
             # PSE 4 MiB page: the PDE maps it directly.
             return (pde & ~(LARGE_PAGE_SIZE - 1)) \
                 | (page_va & (LARGE_PAGE_SIZE - 1) & ~_PAGE_MASK)
-        pt_base = pde & ~_PAGE_MASK
-        pte, = struct.unpack(
-            "<I", self.hv.read_guest_physical(self.domain.domid,
-                                              pt_base + 4 * pte_i, 4))
+        pte = int.from_bytes(self.hv.read_guest_physical(
+            self.domain.domid,
+            (pde & ~_PAGE_MASK) + 4 * ((page_va >> 12) & 0x3FF), 4),
+            "little")
         if not pte & PTE_PRESENT:
             raise PageFault(page_va, f"PTE not present for {page_va:#x}")
         return pte & ~_PAGE_MASK
 
-    # -- physical reads ------------------------------------------------------------
+    # -- the per-page read step ----------------------------------------------------
 
-    def _map_frame(self, frame_no: int) -> bytes:
-        if self.enable_caches:
-            cached = self.page_cache.get(frame_no)
-            if cached is not None:
-                self.stats.page_cache_hits += 1
-                return cached
-        self.stats.pages_mapped += 1
-        if self.obs.tracer.enabled:
-            with self.obs.tracer.span("vmi.read_page",
-                                      vm=self.domain.name, frame=frame_no):
+    def _page(self, addr: int, virtual: bool = True) -> bytes:
+        """The frame backing ``addr``, translated and mapped (one attempt).
+
+        The one per-page step of every scalar read: for a VA, the V2P
+        lookup (a page-table walk charged ``page_translate`` and a put
+        on a miss), then for the frame, the page-cache lookup (a foreign
+        map charged ``page_copy`` and a put on a miss). A physical read
+        (``virtual=False``) starts at the frame. An unmapped VA raises
+        :class:`IntrospectionFault`; hypervisor faults pass through to
+        the retry layer.
+        """
+        stats = self.stats
+        caches = self.enable_caches
+        if virtual:
+            # translate_kv2p's accounting, inlined (one frame per read)
+            page_va = addr & ~_PAGE_MASK
+            pa_page = self.v2p_cache.get(page_va) if caches else None
+            if pa_page is None:
+                stats.translations += 1
+                self.charge("page_translate", self.costs.translate_walk)
+                try:
+                    pa_page = self._walk(page_va)
+                except PageFault as exc:
+                    raise IntrospectionFault(
+                        f"{self.domain.name}: unmapped VA {addr:#x}") from exc
+                if caches:
+                    self.v2p_cache.put(page_va, pa_page)
+            else:
+                stats.translation_cache_hits += 1
+            frame_no = pa_page >> 12
+        else:
+            frame_no = addr >> 12
+        if caches:
+            page = self.page_cache.get(frame_no)
+            if page is not None:
+                stats.page_cache_hits += 1
+                return page
+        stats.pages_mapped += 1
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            with tracer.span("vmi.read_page",
+                             vm=self.domain.name, frame=frame_no):
                 self.charge("page_copy", self.costs.page_map)
                 page = self.hv.read_guest_frame(self.domain.domid, frame_no)
         else:
             self.charge("page_copy", self.costs.page_map)
             page = self.hv.read_guest_frame(self.domain.domid, frame_no)
-        if self.enable_caches:
+        if caches:
             self.page_cache.put(frame_no, page)
         return page
 
     # -- retry plumbing ------------------------------------------------------------
 
-    def _retrying(self, fetch, what: str):
-        """Run ``fetch`` under the retry policy (no-op without one).
+    def _retrying(self, what: str, addr: int, fetch, *args):
+        """``fetch(*args)`` under the retry policy (no-op without one).
+
+        ``what`` and ``addr`` name the attempt (``"VA page"``, a page
+        VA) in retry spans and in the exhaustion message. The first
+        attempt is a plain call; see :meth:`_retry` for the rest.
+        """
+        try:
+            return fetch(*args)
+        except TransientFault as fault:
+            if self.retry is None:
+                raise
+            return self._retry(fault, what, addr, fetch, *args)
+
+    def _retry(self, fault: TransientFault, what: str, addr: int, fetch,
+               *args):
+        """Attempts 2.. of ``fetch(*args)``, whose first raised ``fault``.
 
         Each retry probe charges ``CostModel.retry_probe`` to Dom0 and
-        backs off on the simulated clock (waiting is not CPU work, so it
-        advances time without a contention-stretched charge). On a spent
-        budget, raises :class:`RetryExhausted` chained to the last fault.
+        backs off on the simulated clock (waiting is not CPU work, so
+        it advances time without a contention-stretched charge). On a
+        spent budget, raises :class:`RetryExhausted` chained to the
+        last fault. The name text is only built when a retry span or
+        the exhaustion message needs it.
         """
-        if self.retry is None:
-            return fetch()
-        for attempt in range(self.retry.max_attempts):
+        retry = self.retry
+        for attempt in range(1, retry.max_attempts + 1):
+            self.stats.transient_faults += 1
+            if attempt >= retry.max_attempts:
+                raise RetryExhausted(
+                    f"{self.domain.name}: {what} {addr:#x} still "
+                    f"failing after {retry.max_attempts} attempts: "
+                    f"{fault}") from fault
+            self.stats.retries += 1
+            self.charge("retry_probe", self.costs.retry_probe)
+            self.hv.clock.advance(retry.backoff(attempt - 1))
             try:
-                if attempt and self.obs.tracer.enabled:
+                if self.obs.tracer.enabled:
                     with self.obs.tracer.span("retry.attempt",
                                               vm=self.domain.name,
-                                              what=what, attempt=attempt):
-                        result = fetch()
+                                              what=f"{what} {addr:#x}",
+                                              attempt=attempt):
+                        result = fetch(*args)
                 else:
-                    result = fetch()
-                if attempt:
-                    self.stats.retries_recovered += 1
-                return result
+                    result = fetch(*args)
             except TransientFault as exc:
-                self.stats.transient_faults += 1
-                if attempt + 1 >= self.retry.max_attempts:
-                    raise RetryExhausted(
-                        f"{self.domain.name}: {what} still failing after "
-                        f"{self.retry.max_attempts} attempts: {exc}") from exc
-                self.stats.retries += 1
-                self.charge("retry_probe", self.costs.retry_probe)
-                self.hv.clock.advance(self.retry.backoff(attempt))
+                fault = exc
+                continue
+            self.stats.retries_recovered += 1
+            return result
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def read_pa(self, paddr: int, length: int) -> bytes:
-        """Read a physical range through frame mappings."""
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            addr = paddr + pos
-            frame_no, offset = addr >> 12, addr & _PAGE_MASK
-            n = min(PAGE_SIZE - offset, length - pos)
-            page = self._retrying(lambda f=frame_no: self._map_frame(f),
-                                  f"PA frame {frame_no:#x}")
-            out[pos:pos + n] = page[offset:offset + n]
-            pos += n
+    def _page_retry(self, fault: TransientFault, addr: int,
+                    virtual: bool) -> bytes:
+        """Finish a :meth:`_page` step whose first attempt faulted."""
+        if self.retry is None:
+            raise fault
+        if virtual:
+            return self._retry(fault, "VA page", addr & ~_PAGE_MASK,
+                               self._page, addr)
+        return self._retry(fault, "PA frame", addr >> 12, self._page, addr,
+                           False)
+
+    # -- reads ------------------------------------------------------------------------
+
+    def _read(self, addr: int, length: int, virtual: bool) -> bytes:
+        """Copy ``length`` bytes at ``addr`` out page by page.
+
+        One :meth:`_page` step per covered page, then one
+        ``small_read`` charge for the call. A step's first attempt is a
+        plain call; only a transient fault enters the retry policy
+        (:meth:`_page_retry`). A read inside one page slices its frame
+        directly.
+        """
+        offset = addr & _PAGE_MASK
+        if 0 < length <= PAGE_SIZE - offset:
+            try:
+                page = self._page(addr, virtual)
+            except TransientFault as fault:
+                page = self._page_retry(fault, addr, virtual)
+            data = page[offset:offset + length]
+        else:
+            out = bytearray(length)
+            pos = 0
+            while pos < length:
+                at = addr + pos
+                n = min(PAGE_SIZE - (at & _PAGE_MASK), length - pos)
+                try:
+                    page = self._page(at, virtual)
+                except TransientFault as fault:
+                    page = self._page_retry(fault, at, virtual)
+                offset = at & _PAGE_MASK
+                out[pos:pos + n] = page[offset:offset + n]
+                pos += n
+            data = bytes(out)
         self.stats.bytes_read += length
         self.stats.read_calls += 1
         self.charge("small_read", self.costs.small_read)
-        return bytes(out)
+        return data
 
-    # -- virtual reads ----------------------------------------------------------------
-
-    def _fetch_va_page(self, va: int) -> tuple[int, bytes]:
-        """Translate + map the page backing ``va`` (one attempt)."""
-        try:
-            pa = self.translate_kv2p(va)
-        except PageFault as exc:
-            raise IntrospectionFault(
-                f"{self.domain.name}: unmapped VA {va:#x}") from exc
-        return pa, self._map_frame(pa >> 12)
+    def read_pa(self, paddr: int, length: int) -> bytes:
+        """Read a physical range through frame mappings."""
+        return self._read(paddr, length, False)
 
     def read_va(self, vaddr: int, length: int) -> bytes:
         """Read a kernel-VA range, translating and mapping page by page.
@@ -384,14 +456,15 @@ class VMIInstance:
         the vectorised path (same bytes, same accounting — see
         :meth:`read_va_range_batch`); everything else, and every read
         on a ``batch=False`` instance or under an installed fault
-        injector, runs the scalar reference loop below.
+        injector, runs the per-page step (:meth:`_page`).
         """
-        if length > 0 and self._batch_capable() \
-                and self._covered_pages(vaddr, length) >= BATCH_MIN_PAGES:
+        if length > 0 \
+                and self._covered_pages(vaddr, length) >= BATCH_MIN_PAGES \
+                and self._batch_capable():
             data = self._read_va_batch(vaddr, length)
             if data is not None:
                 return data
-        return self._read_va_scalar(vaddr, length)
+        return self._read(vaddr, length, True)
 
     def read_va_range_batch(self, vaddr: int, length: int) -> bytes:
         """Read a kernel-VA range through the vectorised path.
@@ -404,7 +477,7 @@ class VMIInstance:
         series, and cost-model totals are identical to
         :meth:`read_va`; the batched call is recorded in
         ``stats.batch_reads`` / ``batch_pages``. Stands down to the
-        scalar reference loop (recorded in ``batch_fallbacks``)
+        per-page step (recorded in ``batch_fallbacks``)
         whenever exact parity cannot be guaranteed structurally: a
         fault injector is installed, the range holds a non-present
         page (the scalar replay raises the identical
@@ -417,24 +490,7 @@ class VMIInstance:
             data = self._read_va_batch(vaddr, length)
             if data is not None:
                 return data
-        return self._read_va_scalar(vaddr, length)
-
-    def _read_va_scalar(self, vaddr: int, length: int) -> bytes:
-        """The per-page reference loop (see :meth:`read_va`)."""
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            va = vaddr + pos
-            n = min(PAGE_SIZE - (va & _PAGE_MASK), length - pos)
-            pa, page = self._retrying(lambda v=va: self._fetch_va_page(v),
-                                      f"VA page {va & ~_PAGE_MASK:#x}")
-            offset = pa & _PAGE_MASK
-            out[pos:pos + n] = page[offset:offset + n]
-            pos += n
-        self.stats.bytes_read += length
-        self.stats.read_calls += 1
-        self.charge("small_read", self.costs.small_read)
-        return bytes(out)
+        return self._read(vaddr, length, True)
 
     # -- vectorised acquisition -------------------------------------------------
 
@@ -503,8 +559,8 @@ class VMIInstance:
                 return None
             if not present.all():
                 return None
-            for j, i in enumerate(miss_idx):
-                pa_pages[i] = int(frames[j]) << 12
+            for i, pa in zip(miss_idx, (frames << 12).tolist()):
+                pa_pages[i] = pa
         return pa_pages, v2p_hit
 
     def _read_va_batch(self, vaddr: int, length: int) -> bytes | None:
@@ -531,14 +587,10 @@ class VMIInstance:
         # Decide which frames need a hypervisor gather (stats-neutral
         # probes; cached frames are served from cache even when stale,
         # exactly as the scalar hit path would).
-        fetch: list[int] = []
-        seen: set[int] = set()
-        peek = self.page_cache.peek if self.enable_caches else None
-        for f in frame_nos:
-            if f in seen or (peek is not None and peek(f) is not None):
-                continue
-            seen.add(f)
-            fetch.append(f)
+        fetch = list(dict.fromkeys(frame_nos))
+        if self.enable_caches:
+            peek = self.page_cache.peek
+            fetch = [f for f in fetch if peek(f) is None]
         try:
             rows = self.hv.read_guest_frames(self.domain.domid, fetch) \
                 if fetch else None
@@ -547,40 +599,49 @@ class VMIInstance:
             return None
         row_of = {f: i for i, f in enumerate(fetch)}
 
-        # Commit: replay counters and cache traffic in VA order, so
-        # hit/miss series and LRU state land exactly where the scalar
-        # loop leaves them. No hypervisor call can fail past here.
-        out = np.empty((n_pages, PAGE_SIZE), dtype=np.uint8)
         stats = self.stats
-        walked = mapped = 0
-        for i, pv in enumerate(page_vas):
-            if v2p_hit[i]:
-                self.v2p_cache.get(pv)            # count hit + promote
-                stats.translation_cache_hits += 1
-            else:
-                if self.enable_caches:
-                    self.v2p_cache.get(pv)        # count the miss
+        start = vaddr & _PAGE_MASK
+        if not self.enable_caches:
+            # Every page walks and maps and no cache sees traffic, so
+            # the commit is two counter bumps and one fancy-indexed
+            # row copy (none when every frame is distinct: the gather
+            # is already in VA order).
+            stats.translations += n_pages
+            stats.pages_mapped += n_pages
+            walked = mapped = n_pages
+            out = rows if len(fetch) == n_pages \
+                else rows[[row_of[f] for f in frame_nos]]
+            data = out.reshape(-1)[start:start + length].tobytes()
+        else:
+            # Commit: replay counters and cache traffic in VA order, so
+            # hit/miss series and LRU state land exactly where the
+            # scalar loop leaves them. No hypervisor call can fail past
+            # here.
+            pages: list[bytes] = []
+            walked = mapped = 0
+            for i, pv in enumerate(page_vas):
+                self.v2p_cache.get(pv)     # count the hit or miss
+                if v2p_hit[i]:
+                    stats.translation_cache_hits += 1
+                else:
                     self.v2p_cache.put(pv, pa_pages[i])
-                stats.translations += 1
-                walked += 1
-            f = frame_nos[i]
-            if self.enable_caches:
-                cached = self.page_cache.get(f)
-                if cached is not None:
+                    stats.translations += 1
+                    walked += 1
+                f = frame_nos[i]
+                page = self.page_cache.get(f)
+                if page is not None:
                     stats.page_cache_hits += 1
-                    out[i] = np.frombuffer(cached, dtype=np.uint8)
-                    continue
-            stats.pages_mapped += 1
-            mapped += 1
-            row = rows[row_of[f]]
-            out[i] = row
-            if self.enable_caches:
-                self.page_cache.put(f, row.tobytes())
+                else:
+                    stats.pages_mapped += 1
+                    mapped += 1
+                    page = rows[row_of[f]].tobytes()
+                    self.page_cache.put(f, page)
+                pages.append(page)
+            data = b"".join(pages)[start:start + length]
         self._charge_batch_read(walked, mapped, n_pages)
         stats.bytes_read += length
         stats.read_calls += 1
-        start = vaddr & _PAGE_MASK
-        return out.reshape(-1)[start:start + length].tobytes()
+        return data
 
     def _charge_batch_read(self, walked: int, mapped: int,
                            n_pages: int) -> None:
@@ -666,8 +727,8 @@ class VMIInstance:
             va = vaddr + pos
             n = min(PAGE_SIZE - (va & _PAGE_MASK), length - pos)
             digests.append(
-                self._retrying(lambda v=va, m=n: self._checksum_page(v, m),
-                               f"checksum page {va & ~_PAGE_MASK:#x}"))
+                self._retrying("checksum page", va & ~_PAGE_MASK,
+                               self._checksum_page, va, n))
             pos += n
         return tuple(digests)
 
@@ -766,9 +827,8 @@ class VMIInstance:
                 raise ValueError(f"page index {idx} outside range")
             va = vaddr + offset
             n = min(PAGE_SIZE, length - offset)
-            out[idx] = self._retrying(
-                lambda v=va, m=n: self._checksum_page(v, m),
-                f"checksum page {va:#x}")
+            out[idx] = self._retrying("checksum page", va,
+                                      self._checksum_page, va, n)
         return out
 
     # -- write-protection (event-driven monitoring) -------------------------------
@@ -792,9 +852,8 @@ class VMIInstance:
                 va = vaddr + pos
                 n = min(PAGE_SIZE - (va & _PAGE_MASK), length - pos)
                 try:
-                    pa = self._retrying(
-                        lambda v=va: self.translate_kv2p(v),
-                        f"protect page {va & ~_PAGE_MASK:#x}")
+                    pa = self._retrying("protect page", va & ~_PAGE_MASK,
+                                        self.translate_kv2p, va)
                 except PageFault:
                     self.stats.pages_unprotectable += 1
                     gfns.append(None)
@@ -852,7 +911,7 @@ class VMIInstance:
                     pa & _PAGE_MASK, privileged=True)
                 self.page_cache.pop(frame_no)
 
-            self._retrying(put, f"write VA page {va & ~_PAGE_MASK:#x}")
+            self._retrying("write VA page", va & ~_PAGE_MASK, put)
             self.stats.pages_written += 1
             self.stats.bytes_written += n
             self.charge("page_write", self.costs.page_write)
@@ -878,11 +937,14 @@ class VMIInstance:
                     "trap_deliver", len(traps) * self.costs.trap_deliver)
         return traps, overflowed
 
+    # (a u32/u16 read never covers BATCH_MIN_PAGES pages, so both skip
+    # read_va's batch dispatch)
+
     def read_u32(self, vaddr: int) -> int:
-        return struct.unpack("<I", self.read_va(vaddr, 4))[0]
+        return int.from_bytes(self._read(vaddr, 4, True), "little")
 
     def read_u16(self, vaddr: int) -> int:
-        return struct.unpack("<H", self.read_va(vaddr, 2))[0]
+        return int.from_bytes(self._read(vaddr, 2, True), "little")
 
     # -- symbols --------------------------------------------------------------------
 

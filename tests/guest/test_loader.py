@@ -1,6 +1,11 @@
 """Unit tests for the guest PE module loader."""
 
+import os
 import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +157,44 @@ class TestCrossVMBehaviour:
         diffs = {i for i, (a, b) in enumerate(zip(*images)) if a != b}
         assert diffs, "different bases must produce differing bytes"
         assert diffs <= allowed, sorted(diffs - allowed)[:8]
+
+
+_HASH_SEED_PROBE = """
+import hashlib
+from repro.guest import GuestKernel, build_catalog
+kernel = GuestKernel("Dom1", seed=1)
+kernel.boot(build_catalog(seed=42))
+for name, mod in kernel.modules.items():
+    image = kernel.aspace.read(mod.base, mod.size_of_image)
+    print(name, hashlib.sha256(image).hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_module_images_independent_of_hash_seed(self):
+        """Import fallbacks pick by CRC-32, not ``hash``: the booted
+        images (IATs included) are the same bytes in every process."""
+        root = Path(__file__).resolve().parents[2]
+        outputs = []
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [str(root / "src"),
+                            os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE],
+                                 capture_output=True, text=True, env=env,
+                                 cwd=root, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == 10
+
+    def test_unknown_symbol_picks_by_crc32(self):
+        exporter = build_driver("exp.sys", seed=4, n_functions=6,
+                                imports=())
+        _, loader = _fresh_loader()
+        mod = loader.load(exporter)
+        symbols = loader.dll_symbols["exp.sys"]
+        assert symbols == list(mod.exports)
+        pick = symbols[zlib.crc32(b"Missing") % len(symbols)]
+        assert loader._resolve_import("EXP.SYS", "Missing", "imp.sys") \
+            == mod.exports[pick]
