@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .analysis import format_seconds, render_table
 from .attacks import attack_for_experiment
@@ -335,13 +336,16 @@ def _install_faults(args, hypervisor) -> None:
           f"guest reads")
 
 
-def _obs_for(args, clock):
-    """Observability for this invocation: live when any flag is set."""
-    from .obs import NULL_OBS, make_observability
-    if (getattr(args, "trace_out", None)
-            or getattr(args, "metrics_out", None)
-            or getattr(args, "events_out", None)):
+def _obs_for(args, clock, live=False):
+    """Observability for this invocation: live when any flag is set (or
+    ``live``); the tracer, which keeps every span and charge, only when
+    ``--trace-out`` writes them."""
+    from .obs import NULL_OBS, NULL_TRACER, make_observability
+    if getattr(args, "trace_out", None):
         return make_observability(clock)
+    if (live or getattr(args, "metrics_out", None)
+            or getattr(args, "events_out", None)):
+        return replace(make_observability(clock), tracer=NULL_TRACER)
     return NULL_OBS
 
 
@@ -723,11 +727,8 @@ def cmd_fleet(args) -> int:
     except KeyError as exc:
         raise SystemExit(f"error: {exc.args[0]}") from None
     _install_faults(args, tb.hypervisor)
-    obs = _obs_for(args, tb.clock)
-    if not obs.enabled and isinstance(sink, PromSink):
-        # the prometheus sink scrapes the registry; make it live
-        from .obs import make_observability
-        obs = make_observability(tb.clock)
+    # the prometheus sink scrapes the registry; make it live
+    obs = _obs_for(args, tb.clock, live=isinstance(sink, PromSink))
 
     from .cloud import Fleet
     checker_kwargs = _checker_kwargs(args)

@@ -64,8 +64,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from ..hypervisor.clock import SimClock
 
@@ -84,17 +84,17 @@ EVENT_NAMES = (
     "repair.quarantined",
     "slo.breach", "slo.budget",
 )
+_NAMES = frozenset(EVENT_NAMES)
 
 
-@dataclass(frozen=True)
-class Event:
-    """One audit-log record on the simulated clock."""
+class Event(NamedTuple):
+    """One audit-log record on the simulated clock (a flat tuple)."""
 
     time: float
     seq: int
     name: str
-    check_id: str | None = None
-    attrs: dict[str, object] = field(default_factory=dict)
+    check_id: str | None
+    attrs: dict[str, object]
 
     @property
     def category(self) -> str:
@@ -185,13 +185,12 @@ class EventLog:
     def emit(self, name: str, *, check_id: str | None = None,
              **attrs: object) -> Event:
         """Record one event; the name must be in :data:`EVENT_NAMES`."""
-        if name not in EVENT_NAMES:
+        if name not in _NAMES:
             raise ValueError(
                 f"unknown event name {name!r}; the vocabulary is closed "
                 f"(see repro.obs.events.EVENT_NAMES)")
-        event = Event(time=self.clock.now, seq=self._seq, name=name,
-                      check_id=check_id or self.current_check,
-                      attrs=attrs)
+        event = Event(self.clock.now, self._seq, name,
+                      check_id or self.current_check, attrs)
         self._seq += 1
         self._ring.append(event)
         if self._sink is not None:
@@ -220,7 +219,8 @@ class EventLog:
         return [e for e in self._ring if start <= e.time <= end]
 
     def tail(self, n: int) -> list[Event]:
-        return list(self._ring)[-n:]
+        """The newest ``n`` retained events, oldest first."""
+        return list(self._ring)[-n:] if n > 0 else []
 
     # -- serialisation ----------------------------------------------------
 

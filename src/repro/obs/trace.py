@@ -32,7 +32,7 @@ attribute dicts at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..hypervisor.clock import SimClock
 
@@ -69,18 +69,60 @@ OP_NAMES = (
     "trap_deliver", "page_write", "small_read", "retry_probe", "parse",
     "compare",
 )
+_OPS = frozenset(OP_NAMES)
 
 
-@dataclass
+class Charge(NamedTuple):
+    """One cost-model charge, tagged with the innermost open span.
+
+    Charges are *flat* records of raw Dom0 CPU-seconds, independent of
+    the simulated clock's contention stretch — so they stay valid even
+    inside :meth:`~repro.hypervisor.xen.Hypervisor.deferred_charges`
+    contexts (fleet / parallel scheduling), where span durations are
+    zero because the clock is frozen. The profiler
+    (:mod:`repro.obs.profiler`) attributes each charge to a (vm,
+    module, op) triple by walking the tagged span's ancestry.
+    """
+
+    op: str
+    cpu: float
+    span_id: int | None
+
+
 class Span:
-    """One timed region on the simulated clock."""
+    """One timed region on the simulated clock; its own context manager.
 
-    name: str
-    span_id: int
-    parent_id: int | None
-    start: float
-    end: float | None = None
-    attrs: dict[str, object] = field(default_factory=dict)
+    Created by :meth:`Tracer.span`, which takes the id, the parent (the
+    innermost open span) and the start time; entering pushes it onto
+    the tracer, exiting stamps ``end``.
+    """
+
+    __slots__ = ("name", "span_id", "parent_id", "start", "end", "attrs",
+                 "_tracer")
+
+    def __init__(self, tracer: "Tracer", name: str,
+                 attrs: dict[str, object]) -> None:
+        stack = tracer._stack
+        self._tracer = tracer
+        self.name = name
+        self.span_id = tracer._next_id
+        tracer._next_id += 1
+        self.parent_id: int | None = stack[-1].span_id if stack else None
+        self.start: float = tracer.clock.now
+        self.end: float | None = None
+        self.attrs = attrs
+
+    def __enter__(self) -> "Span":
+        self._tracer.spans.append(self)
+        self._tracer._stack.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.end = self._tracer.clock.now
+        if exc_type is not None:
+            self.attrs.setdefault("error", exc_type.__name__)
+        self._tracer._pop(self)
+        return False
 
     @property
     def finished(self) -> bool:
@@ -102,48 +144,6 @@ class Span:
         return self
 
 
-@dataclass(frozen=True)
-class Charge:
-    """One cost-model charge, tagged with the innermost open span.
-
-    Charges are *flat* records of raw Dom0 CPU-seconds, independent of
-    the simulated clock's contention stretch — so they stay valid even
-    inside :meth:`~repro.hypervisor.xen.Hypervisor.deferred_charges`
-    contexts (fleet / parallel scheduling), where span durations are
-    zero because the clock is frozen. The profiler
-    (:mod:`repro.obs.profiler`) attributes each charge to a (vm,
-    module, op) triple by walking the tagged span's ancestry.
-    """
-
-    op: str
-    cpu: float
-    span_id: int | None
-
-
-class _SpanContext:
-    """Context manager created by :meth:`Tracer.span`."""
-
-    __slots__ = ("tracer", "span")
-
-    def __init__(self, tracer: "Tracer", name: str,
-                 attrs: dict[str, object]) -> None:
-        self.tracer = tracer
-        self.span = Span(name=name, span_id=tracer._take_id(),
-                         parent_id=tracer._parent_id(),
-                         start=tracer.clock.now, attrs=attrs)
-
-    def __enter__(self) -> Span:
-        self.tracer._push(self.span)
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.span.end = self.tracer.clock.now
-        if exc_type is not None:
-            self.span.attrs.setdefault("error", exc_type.__name__)
-        self.tracer._pop(self.span)
-        return False
-
-
 class Tracer:
     """Records nested :class:`Span` regions against one simulated clock.
 
@@ -162,24 +162,11 @@ class Tracer:
         self.clock = clock
         #: every span ever started, in start order
         self.spans: list[Span] = []
-        #: every cost-model charge recorded, in emission order
-        self.charges: list[Charge] = []
+        #: ``(op, cpu, span_id)`` per charge: plain tuples of atoms, which
+        #: the cycle collector stops tracking (see :attr:`charges`)
+        self._charges: list[tuple] = []
         self._stack: list[Span] = []
         self._next_id = 0
-
-    # -- bookkeeping for _SpanContext -----------------------------------
-
-    def _take_id(self) -> int:
-        span_id = self._next_id
-        self._next_id += 1
-        return span_id
-
-    def _parent_id(self) -> int | None:
-        return self._stack[-1].span_id if self._stack else None
-
-    def _push(self, span: Span) -> None:
-        self.spans.append(span)
-        self._stack.append(span)
 
     def _pop(self, span: Span) -> None:
         # Exits happen strictly LIFO (context managers), but be tolerant
@@ -191,9 +178,9 @@ class Tracer:
 
     # -- public API ------------------------------------------------------
 
-    def span(self, name: str, **attrs: object) -> _SpanContext:
+    def span(self, name: str, **attrs: object) -> Span:
         """Open a span; ``with tracer.span(...) as s`` yields the Span."""
-        return _SpanContext(self, name, attrs)
+        return Span(self, name, attrs)
 
     def charge(self, op: str, cpu: float) -> None:
         """Record one cost-model charge against the innermost open span.
@@ -202,18 +189,23 @@ class Tracer:
         CPU-seconds (pre-contention). Hot call sites guard on
         ``tracer.enabled`` so a disabled run never reaches here.
         """
-        if op not in OP_NAMES:
+        if op not in _OPS:
             raise ValueError(
                 f"unknown charge op {op!r}; the vocabulary is closed "
                 f"(see repro.obs.trace.OP_NAMES)")
-        span_id = self._stack[-1].span_id if self._stack else None
-        self.charges.append(Charge(op=op, cpu=cpu, span_id=span_id))
+        stack = self._stack
+        self._charges.append((op, cpu, stack[-1].span_id if stack else None))
+
+    @property
+    def charges(self) -> list[Charge]:
+        """Every cost-model charge recorded, in emission order."""
+        return list(map(Charge._make, self._charges))
 
     def total_by_op(self) -> dict[str, float]:
         """Summed raw CPU-seconds per charge op."""
         totals: dict[str, float] = {}
-        for c in self.charges:
-            totals[c.op] = totals.get(c.op, 0.0) + c.cpu
+        for op, cpu, _ in self._charges:
+            totals[op] = totals.get(op, 0.0) + cpu
         return totals
 
     @property
@@ -239,7 +231,7 @@ class Tracer:
 
     def clear(self) -> None:
         self.spans.clear()
-        self.charges.clear()
+        self._charges.clear()
         self._stack.clear()
 
 

@@ -647,15 +647,16 @@ class VMIInstance:
                            n_pages: int) -> None:
         """Charge one batched read — same totals as the per-page loop.
 
-        The untraced fast path pays a single ``charge_dom0`` (one
-        contention stretch for the whole read); the traced path splits
-        the charges so each lands on its closed-vocabulary op, with
+        The unobserved fast path pays a single ``charge_dom0`` (one
+        contention stretch for the whole read); a traced or metered run
+        splits the charges (so its clock does not depend on whether a
+        trace is kept) and each lands on its closed-vocabulary op, with
         the ``page_copy`` share inside one aggregated ``vmi.read_page``
         span (keeping the profiler's hotspot attribution on the same
         path the scalar per-frame spans put it on).
         """
         tracer = self.obs.tracer
-        if not tracer.enabled:
+        if not (tracer.enabled or self.obs.metrics.enabled):
             self.hv.charge_dom0(
                 self.costs.range_read_cost(walked=walked, mapped=mapped))
         else:
@@ -787,8 +788,7 @@ class VMIInstance:
                 stats.translations += 1
                 walked += 1
         stats.pages_checksummed += n_pages
-        tracer = self.obs.tracer
-        if not tracer.enabled:
+        if not (self.obs.tracer.enabled or self.obs.metrics.enabled):
             self.hv.charge_dom0(self.costs.range_checksum_cost(
                 walked=walked, pages=n_pages))
         else:

@@ -89,6 +89,25 @@ class TestRetentionAndQueries:
         assert [e.name for e in log.window(0.5, 1.5)] == ["check.verdict"]
         assert [e.name for e in log.tail(1)] == ["daemon.cycle"]
 
+    def test_tail_counts_from_the_newest(self):
+        _, log = _log()
+        for name in ("check.start", "check.verdict", "daemon.cycle"):
+            log.emit(name)
+        assert log.tail(0) == []
+        assert log.tail(-1) == []
+        assert [e.name for e in log.tail(2)] == ["check.verdict",
+                                                 "daemon.cycle"]
+        assert log.tail(5) == log.events
+
+    def test_emit_returns_the_retained_record(self):
+        _, log = _log()
+        event = log.emit("check.start", module="hal.dll")
+        assert log.events == [event]
+        assert (event.name, event.category, event.attrs) == \
+            ("check.start", "check", {"module": "hal.dll"})
+        bare = [log.emit("daemon.cycle"), log.emit("daemon.cycle")]
+        assert bare[0].attrs == {} and bare[0].attrs is not bare[1].attrs
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EventLog(SimClock(), capacity=0)

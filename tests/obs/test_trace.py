@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 
 from repro.hypervisor.clock import SimClock
-from repro.obs import NULL_TRACER, SPAN_NAMES, Tracer
+from repro.obs import NULL_TRACER, SPAN_NAMES, EventLog, Tracer
 
 
 class TestSpanBasics:
@@ -34,11 +34,12 @@ class TestSpanBasics:
 
     def test_open_span_duration_is_zero(self):
         tracer = Tracer(SimClock())
-        ctx = tracer.span("daemon.cycle")
-        ctx.__enter__()
-        assert not ctx.span.finished
-        assert ctx.span.duration == 0.0
-        ctx.__exit__(None, None, None)
+        span = tracer.span("daemon.cycle")
+        assert span.__enter__() is span        # the span is its own scope
+        assert not span.finished
+        assert span.duration == 0.0
+        span.__exit__(None, None, None)
+        assert span.finished
 
     def test_error_attr_recorded_on_exception(self):
         tracer = Tracer(SimClock())
@@ -183,3 +184,92 @@ def test_span_vocabulary_is_closed():
     assert "vmi.read_page" in SPAN_NAMES
     assert "daemon.cycle" in SPAN_NAMES
     assert len(SPAN_NAMES) == len(set(SPAN_NAMES))
+
+
+# -- live records ---------------------------------------------------------
+
+def _traced_daemon(vms: int = 6):
+    """A warm event-driven daemon with a live obs bundle (carving on)."""
+    from repro.cloud import build_testbed
+    from repro.core import CheckDaemon, ModChecker, RoundRobinPolicy
+    from repro.obs import make_observability
+
+    tb = build_testbed(vms, seed=42)
+    obs = make_observability(tb.clock)
+    daemon = CheckDaemon(ModChecker(tb.hypervisor, tb.profile, obs=obs,
+                                    event_driven=True),
+                         RoundRobinPolicy(per_cycle=3))
+    daemon.run(4)                       # arm traps, fill the manifests
+    return daemon, obs
+
+
+def _unit_cost(record, n: int = 5_000) -> float:
+    """Best-of-three process CPU seconds per call of ``record()``."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.process_time()
+        for _ in range(n):
+            record()
+        best = min(best, time.process_time() - t0)
+    return best / n
+
+
+def test_live_record_overhead_under_8_percent():
+    """Recording must stay cheap beside the work it describes.
+
+    Count the charges, events and spans one warm traced daemon cycle
+    records, price each kind at its unit cost measured right after the
+    cycle (a charge inside an open span, a ``pair.compared`` event with
+    its attributes, a ``vmi.read_page`` span with two), and take the
+    product's share of the cycle's CPU time. The median over five
+    cycles must stay under 8%. With dataclass records the median
+    read 12.9-14.4% here, with flat tuples 4.8-5.3% (2 vCPUs).
+    """
+    daemon, obs = _traced_daemon()
+    tracer, events = obs.tracer, obs.events
+    probe = Tracer(SimClock())
+    log = EventLog(SimClock(), capacity=1024)
+
+    def counts() -> tuple[int, int, int]:
+        return len(tracer.charges), len(events), len(tracer.spans)
+
+    def span():
+        with probe.span("vmi.read_page", vm="Dom1", frame=7):
+            pass
+
+    shares = []
+    for _ in range(5):
+        before = counts()
+        t0 = time.process_time()
+        daemon.run_cycle()
+        host = time.process_time() - t0
+        n_charges, n_events, n_spans = (
+            after - b for after, b in zip(counts(), before))
+        probe.clear()
+        with probe.span("searcher.copy", vm="Dom1", module="hal.dll"):
+            charge = _unit_cost(lambda: probe.charge("page_copy", 1.2e-4))
+        cost = (n_charges * charge
+                + n_events * _unit_cost(lambda: log.emit(
+                    "pair.compared", module="hal.dll", vm_a="Dom1",
+                    vm_b="Dom2", matched=True, mismatched=[]))
+                + n_spans * _unit_cost(span))
+        shares.append(cost / host)
+    shares.sort()
+    assert shares[2] < 0.08, (
+        f"records cost {[f'{s:.1%}' for s in shares]} of cycle CPU "
+        f"(last cycle: {n_charges} charges, {n_events} events, "
+        f"{n_spans} spans in {host * 1e3:.1f}ms)")
+
+
+def test_retained_charges_leave_the_cycle_collector():
+    """A live tracer keeps every charge for the whole run; the cycle
+    collector must not have to track (and re-traverse) each one."""
+    import gc
+
+    daemon, obs = _traced_daemon(vms=4)
+    daemon.run(2)
+    gc.collect()
+    retained = obs.tracer._charges
+    assert len(retained) > 1000
+    assert not any(gc.is_tracked(record) for record in retained)
+    assert obs.tracer.charges[0] == tuple(retained[0])
