@@ -18,6 +18,11 @@ kept as a ledger entry on the :class:`~repro.vmi.core.VMIInstance`;
 while every page it read is still cached as recorded, the next walk
 replays the entry instead of re-issuing the reads
 (:meth:`VMIInstance.replay_walk <repro.vmi.core.VMIInstance.replay_walk>`).
+A cold walk after a cache flush is kept as a second entry, replayed
+after later flushes while every frame it read (page directory, page
+tables, data frames) holds the same bytes
+(:meth:`VMIInstance.replay_cold_walk
+<repro.vmi.core.VMIInstance.replay_cold_walk>`).
 """
 
 from __future__ import annotations
@@ -81,8 +86,9 @@ class ModuleSearcher:
         """Decode every node of PsLoadedModuleList, in load order.
 
         On a live session a warm walk is replayed from the session's
-        record when every page it read is still cached as recorded;
-        the result and all accounting equal re-running it.
+        record when every page it read is still cached as recorded, and
+        a cold walk from its cold record when every frame it read is
+        unchanged; the result and all accounting equal re-running it.
         """
         with self.obs.tracer.span("searcher.walk",
                                   vm=self.vmi.domain.name) as span:
@@ -97,12 +103,22 @@ class ModuleSearcher:
         replayed = vmi.replay_walk()            # drops a stale entry
         if replayed is not None:
             return list(replayed)
-        if not len(vmi.v2p_cache):              # cold: cannot be all-hit
-            return self._walk_module_list()
+        cold = not len(vmi.v2p_cache)           # cannot be all-hit
+        if cold:
+            replayed = vmi.replay_cold_walk()   # drops a stale entry
+            if replayed is not None:
+                return list(replayed)
+            start = vmi.cold_walk_start()
+            if start is None:
+                return self._walk_module_list()
         nodes: list[tuple[int, tuple[int, int] | None]] = []
         with vmi.hv.recorded_charges() as charges:
             entries = self._walk_module_list(nodes)
-        vmi.record_walk(charges, self._walk_reads(nodes), entries)
+        reads = self._walk_reads(nodes)
+        if cold:
+            vmi.record_cold_walk(start, charges, reads, entries)
+        else:
+            vmi.record_walk(charges, reads, entries)
         return entries
 
     def _walk_reads(self, nodes):

@@ -7,13 +7,15 @@ guard itself; :func:`replay` re-applies it under the kind's row of
 ``recharge`` re-issues every recorded charge, in order and one call
 each, so the clock and every deferred float sum are bit-identical to
 re-running the step; ``free`` charges nothing. Counter deltas apply
-under either row. Imports nothing from the package (VMI uses it).
+under either row. A recharged entry may name a span per charge, which
+a traced replay re-opens around that charge, as the real run did.
+Imports nothing from the package (VMI uses it).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import NamedTuple
 
 __all__ = ["POLICY", "Entry", "replay"]
@@ -26,24 +28,34 @@ class Entry(NamedTuple):
     """One recorded run. ``charges`` are its ``charge_dom0`` calls'
     ``(cpu_seconds, op)`` arguments in order (see
     :meth:`~repro.hypervisor.xen.Hypervisor.recorded_charges`);
-    ``deltas`` the ``(counter, amount)`` pairs a replay adds."""
+    ``deltas`` the ``(counter, amount)`` pairs a replay adds;
+    ``spans``, when not empty, one item per charge: None, or the
+    ``(name, attrs)`` of the span the real run charged it inside."""
 
     guard: object
     result: object
     charges: tuple[tuple[float, str | None], ...]
     deltas: tuple[tuple[str, int], ...] = ()
+    spans: tuple[tuple[str, dict] | None, ...] = ()
 
 
 def replay(kind: str, entry: Entry, charge, tracer, stats) -> object:
     """Re-apply ``entry`` under ``POLICY[kind]``; return its result.
     ``charge(cpu_seconds, op)`` is the Dom0 charge (each re-issued
-    charge is traced too when ``tracer.enabled``); ``stats`` gets the
-    deltas."""
+    charge is traced too when ``tracer.enabled``, inside its span if
+    the entry names one); ``stats`` gets the deltas."""
     if POLICY[kind] == "recharge":
         if tracer.enabled:
-            for cpu, op in entry.charges:
-                charge(cpu, op)
-                tracer.charge(op, cpu)
+            spans = entry.spans or repeat(None)
+            for (cpu, op), span in zip(entry.charges, spans):
+                if span is None:
+                    charge(cpu, op)
+                    tracer.charge(op, cpu)
+                    continue
+                name, attrs = span
+                with tracer.span(name, **attrs):
+                    charge(cpu, op)
+                    tracer.charge(op, cpu)
         else:
             deque(starmap(charge, entry.charges), 0)
     for name, amount in entry.deltas:

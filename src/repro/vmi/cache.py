@@ -23,7 +23,9 @@ invalidation, or the full-recheck TTL expiring.
 
 A warm LDR walk is served from the two caches without issuing a read
 (:meth:`VMIInstance.replay_walk`): :meth:`LRUCache.replay_hits` leaves
-an LRU exactly where the walk's run of hits would.
+an LRU exactly where the walk's run of hits would. A cold walk (both
+caches empty) is served by :meth:`LRUCache.load`, which refills an
+empty LRU with the entries the walk left (:meth:`LRUCache.items`).
 
 Accounting discipline: manifest lookups are *not* page-cache accesses.
 The store keeps its own hit/miss/invalidation counters and consults
@@ -97,6 +99,24 @@ class LRUCache(Generic[K, V]):
         for key in keys:
             move(key)
         self.hits += hits
+
+    def items(self) -> tuple[tuple[K, V], ...]:
+        """The ``(key, value)`` entries, least recently used first."""
+        return tuple(self._data.items())
+
+    def load(self, items: tuple[tuple[K, V], ...], hits: int,
+             misses: int) -> None:
+        """Leave the state a run of accesses from empty leaves.
+
+        The cache must be empty; ``items`` are what the run left, as
+        :meth:`items` returned them, and ``hits``/``misses`` what it
+        counted. Inserting in that order reproduces the ``OrderedDict``
+        exactly; only a run that evicted nothing qualifies, so the items
+        fit the capacity.
+        """
+        self._data.update(items)
+        self.hits += hits
+        self.misses += misses
 
     def put(self, key: K, value: V) -> None:
         self._data[key] = value

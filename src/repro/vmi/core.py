@@ -14,7 +14,9 @@ Faithful properties:
   and goes through the hypervisor's protected-frame rules;
 * **caches** — optional V2P and page caches as in libvmi, flushable
   between checking rounds; a walk that ran entirely in them is
-  replayed from its ledger entry (:meth:`VMIInstance.replay_walk`);
+  replayed from its ledger entry (:meth:`VMIInstance.replay_walk`), and
+  a walk that started with both empty after a flush is replayed while
+  every frame it read is unchanged (:meth:`VMIInstance.replay_cold_walk`);
 * **cost accounting** — each primitive charges the Dom0 CPU through the
   hypervisor's contention model, producing the simulated runtimes of
   Figs. 7–9.
@@ -22,13 +24,15 @@ Faithful properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
 from ..counters import Series, declare
-from ..errors import (IntrospectionFault, PageFault, PhysicalAddressError,
-                      RetryExhausted, TransientFault, VMIInitError)
+from ..errors import (DomainNotFound, IntrospectionFault, PageFault,
+                      PhysicalAddressError, RetryExhausted, TransientFault,
+                      VMIInitError)
 from ..hypervisor.xen import Hypervisor
 from ..ledger import Entry, replay
 from ..mem.paging import LARGE_PAGE_SIZE, PDE_LARGE, PTE_PRESENT, walk_batch
@@ -124,6 +128,12 @@ class VMIStats:
     batch_fallbacks: int = 0
 
 
+#: every ``VMIStats`` field's value, read without materialising the
+#: instance ``__dict__`` (``vars()`` would slow every later update)
+_STAT_FIELDS = tuple(f.name for f in fields(VMIStats))
+_stat_values = attrgetter(*_STAT_FIELDS)
+
+
 def _last_access_order(keys: list[int]) -> tuple[int, ...]:
     """Distinct ``keys``, ordered by the position of their last use."""
     return tuple(reversed(dict.fromkeys(reversed(keys))))
@@ -160,6 +170,11 @@ class VMIInstance:
         self.stats = VMIStats()
         #: the last all-hit walk's ledger entry, see :meth:`replay_walk`
         self.walk_record: Entry | None = None
+        #: the last cold walk's ledger entry, see :meth:`replay_cold_walk`
+        self.cold_record: Entry | None = None
+        #: only a cold walk after a flush is recorded (a fresh session's
+        #: first walk is not: a fleet session never walks cold again)
+        self._flushed = False
         self.cr3 = hypervisor.guest_cr3(domain_key)
         #: the guest's boot generation at attach time; a reboot swaps
         #: the whole address space (new CR3, new page tables), so any
@@ -173,12 +188,15 @@ class VMIInstance:
 
         Also resets their hit/miss counters, so the cache-hit-ratio
         metric describes the round being started, not the whole session.
+        Drops the warm walk record; keeps the cold one, whose guard is
+        the guest's frames, not the caches.
         """
         self.v2p_cache.flush()
         self.page_cache.flush()
         self.v2p_cache.reset_stats()
         self.page_cache.reset_stats()
         self.walk_record = None
+        self._flushed = True
 
     # -- walk replay --------------------------------------------------------------
 
@@ -242,6 +260,143 @@ class VMIInstance:
         n = len(entry.charges)
         self.v2p_cache.replay_hits(v2p_order, n)
         self.page_cache.replay_hits(frame_order, n)
+        return replay("walk", entry, self.hv.charge_dom0, self.obs.tracer,
+                      self.stats)
+
+    # -- cold walk replay ----------------------------------------------------------
+
+    def _caches_empty(self) -> bool:
+        return (self.enable_caches and not len(self.v2p_cache)
+                and not len(self.page_cache))
+
+    def _frozen_memory(self):
+        """The guest's physical memory, if a walk here reads only it.
+
+        That holds when nothing shadows the hypervisor's read primitives
+        on the instance (a fault injector does), no ``clock.on_advance``
+        subscriber can fire
+        mid-walk (none is registered, or charges are deferred) and the
+        domain is readable: a walk then reads guest frames and nothing
+        else, and nothing writes them while it runs. None otherwise.
+        """
+        hv = self.hv
+        cls = type(hv)
+        if getattr(hv.read_guest_frame, "__func__", None) \
+                is not cls.read_guest_frame \
+                or getattr(hv.read_guest_physical, "__func__", None) \
+                is not cls.read_guest_physical:
+            return None
+        if hv.clock.on_advance and not hv.charges_deferred:
+            return None
+        try:
+            domain = hv.domain(self.domain.domid)
+        except DomainNotFound:
+            return None
+        return domain.kernel.memory if domain.introspectable else None
+
+    def cold_walk_start(self) -> tuple | None:
+        """The counters a cold walk starting now is recorded against.
+
+        None, so the walk is not recorded, unless the session was
+        flushed, both caches are on and empty and the walk can read
+        only guest frames (:meth:`_frozen_memory`).
+        """
+        if not (self._flushed and self._caches_empty()) \
+                or self._frozen_memory() is None:
+            return None
+        v2p, pages = self.v2p_cache, self.page_cache
+        return ((v2p.hits, v2p.misses, pages.hits, pages.misses),
+                _stat_values(self.stats))
+
+    def record_cold_walk(self, start: tuple, charges: list, reads,
+                         entries) -> None:
+        """Keep a cold walk as a ``walk`` ledger entry if it is exact.
+
+        ``start`` is :meth:`cold_walk_start`'s snapshot; ``charges``,
+        ``reads`` and ``entries`` are as for :meth:`record_walk`. The
+        walk is kept only if it charged nothing but ``page_translate``,
+        ``page_copy`` and ``small_read``, evicted nothing, put every V2P
+        miss (no read was unmapped) and its charges are exactly those
+        its reads explain. The entry's guard holds the bytes
+        of every frame the walk read: the page directory, the page
+        tables its translations used and each data frame as mapped.
+        The walk is a pure function of those bytes, so while they are
+        unchanged a re-run reads and leaves exactly what it did.
+        """
+        self.cold_record = None
+        memory = self._frozen_memory()
+        if memory is None:
+            return
+        (v2p_hits, v2p_misses, page_hits, page_misses), stats = start
+        v2p, pages = self.v2p_cache, self.page_cache
+        v2p_misses = v2p.misses - v2p_misses
+        page_misses = pages.misses - page_misses
+        if len(v2p) != v2p_misses or len(pages) != page_misses:
+            return
+        v2p_items = v2p.items()
+        pa_of = dict(v2p_items)
+        n_reads = 0
+        copied: dict[int, None] = {}        # frames in first-access order
+        for va, length in reads:
+            n_reads += 1
+            for page_va in range(va & ~_PAGE_MASK, va + length, PAGE_SIZE):
+                pa_page = pa_of.get(page_va)
+                if pa_page is None:
+                    return
+                copied[pa_page >> 12] = None
+        # one translation per V2P entry, one copy per distinct frame,
+        # one small_read per read, nothing else: each read succeeded,
+        # so the k-th page copy mapped the k-th frame first read
+        ops = [op for _, op in charges]
+        if (ops.count("page_translate"), ops.count("page_copy"),
+                ops.count("small_read"), len(copied)) \
+                != (len(v2p), len(pages), n_reads, len(pages)) \
+                or len(ops) != len(v2p) + len(pages) + n_reads:
+            return
+        directory = memory.read_frame(self.cr3 >> 12)
+        guard = {self.cr3 >> 12: directory}
+        for page_va in pa_of:
+            at = 4 * ((page_va >> 22) & 0x3FF)
+            pde = int.from_bytes(directory[at:at + 4], "little")
+            if not pde & PDE_LARGE and pde >> 12 not in guard:
+                guard[pde >> 12] = memory.read_frame(pde >> 12)
+        page_items = pages.items()
+        guard.update(page_items)
+        frames = iter(copied)
+        vm = self.domain.name
+        self.cold_record = Entry(
+            (tuple(guard.items()),
+             (v2p_items, v2p.hits - v2p_hits, v2p_misses),
+             (page_items, pages.hits - page_hits, page_misses)),
+            tuple(entries), tuple(charges),
+            tuple((name, now - was) for name, now, was
+                  in zip(_STAT_FIELDS, _stat_values(self.stats), stats)
+                  if now != was),
+            tuple(("vmi.read_page", {"vm": vm, "frame": next(frames)})
+                  if op == "page_copy" else None for _, op in charges))
+
+    def replay_cold_walk(self) -> tuple | None:
+        """The recorded cold walk's entries, its side effects replayed.
+
+        The guard: both caches on and empty, the walk would read only
+        guest frames (:meth:`_frozen_memory`) and every guarded frame
+        holds its recorded bytes. Then both caches are loaded as the
+        walk left them, with its hit and miss counts, and the ledger
+        re-applies its charges (each ``page_copy`` inside its
+        ``vmi.read_page`` span when traced) and ``VMIStats`` deltas.
+        Otherwise drops the entry and returns None.
+        """
+        entry = self.cold_record
+        if entry is None:
+            return None
+        frames, v2p_load, page_load = entry.guard
+        memory = self._frozen_memory() if self._caches_empty() else None
+        if memory is None or any(memory.read_frame(frame_no) != data
+                                 for frame_no, data in frames):
+            self.cold_record = None
+            return None
+        self.v2p_cache.load(*v2p_load)
+        self.page_cache.load(*page_load)
         return replay("walk", entry, self.hv.charge_dom0, self.obs.tracer,
                       self.stats)
 

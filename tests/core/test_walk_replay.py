@@ -1,14 +1,15 @@
 """Differential tests: a ledger replay equals re-running the work.
 
 The replay ledger (:mod:`repro.ledger`) serves three kinds of step: an
-LDR walk whose every read was a single-page hit in both VMI caches
-(replayed while every page it read is still cached as recorded), a
-canonical-vote member step and a pairwise comparison (both replayed
-while the two copies' content keys hold). Each scenario here runs two
-identically seeded worlds step by step. In the *real* world every walk
-drops its session's entry first and every vote's ledger lookup misses,
-so all the work re-runs; in the *replay* world entries replay whenever
-their guard holds. After every step both worlds must agree on the
+LDR walk (warm: every read was a single-page hit in both VMI caches,
+replayed while every page it read is still cached as recorded; cold:
+both caches empty after a flush, replayed while every frame it read
+holds the same bytes), a canonical-vote member step and a pairwise
+comparison (both replayed while the two copies' content keys hold).
+Each scenario here runs two identically seeded worlds step by step. In
+the *real* world every walk drops its session's entries first and
+every vote's ledger lookup misses, so all the work re-runs; in the
+*replay* world entries replay whenever their guard holds. After every step both worlds must agree on the
 step's outcome and on the whole observable state: every ``VMIStats``
 field, each cache's hits, misses and key order, ``hv.dom0_cpu_seconds``,
 the simulated clock, the deferred sink's total, the fault injector's
@@ -36,6 +37,7 @@ from repro.cloud import FLEET_VARIANTS, Fleet, build_fleet_testbed, \
     build_testbed
 from repro.core import ModChecker, ModuleSearcher
 from repro.errors import IntrospectionFault
+from repro.guest.unicode_string import UnicodeString
 from repro.hypervisor.clock import SimClock
 from repro.hypervisor.faults import FaultConfig, FaultInjector
 from repro.obs import NULL_METRICS, NULL_TRACER, Observability, Tracer, \
@@ -48,17 +50,17 @@ SEED = 42
 
 @pytest.fixture
 def replays(monkeypatch):
-    """Counts walks served by :meth:`VMIInstance.replay_walk`."""
+    """Counts walks served by :meth:`VMIInstance.replay_walk` or
+    :meth:`VMIInstance.replay_cold_walk`."""
     served = []
-    original = VMIInstance.replay_walk
+    for name in ("replay_walk", "replay_cold_walk"):
+        def counting(self, _original=getattr(VMIInstance, name)):
+            entries = _original(self)
+            if entries is not None:
+                served.append(self.domain.name)
+            return entries
 
-    def counting(self):
-        entries = original(self)
-        if entries is not None:
-            served.append(self.domain.name)
-        return entries
-
-    monkeypatch.setattr(VMIInstance, "replay_walk", counting)
+        monkeypatch.setattr(VMIInstance, name, counting)
     return served
 
 
@@ -82,7 +84,7 @@ def real_runs(monkeypatch):
     original = ModuleSearcher.list_modules
 
     def forced(self):
-        self.vmi.walk_record = None
+        self.vmi.walk_record = self.vmi.cold_record = None
         return original(self)
 
     @contextmanager
@@ -144,7 +146,7 @@ def _differential(build, steps, real_runs, replays):
 
 # -- a small pool, walked directly --------------------------------------------
 
-def _pool(*, fault_config=None, traced=False):
+def _pool(*, fault_config=None, traced=False, caches=True):
     def build():
         tb = build_testbed(3, seed=SEED)
         hv = tb.hypervisor
@@ -155,7 +157,7 @@ def _pool(*, fault_config=None, traced=False):
                     if fault_config is not None else None)
         kwargs = {"obs": obs} if obs is not None else {}
         mc = ModChecker(hv, tb.profile, flush_caches_each_round=False,
-                        **kwargs)
+                        enable_caches=caches, **kwargs)
         retired = []
 
         def sessions():
@@ -337,10 +339,22 @@ class TestPoolDifferential:
 
 
 class TestRecordScope:
-    def test_cold_walk_leaves_no_record(self):
+    def test_only_a_cold_walk_after_a_flush_records(self):
+        """A fresh session's first walk is cold but records nothing; a
+        cold walk after ``flush_caches`` records, and the next flush
+        keeps the cold entry (it drops only the warm one)."""
         world = _pool()()
         walk_all(world)
-        assert all(v.walk_record is None for v in world.sessions())
+        assert all(v.walk_record is None and v.cold_record is None
+                   for v in world.sessions())
+        cold_walk_all(world)
+        assert all(v.cold_record is not None for v in world.sessions())
+        vmi = world.mc.vmi_for("Dom1")
+        walk_all(world)
+        assert vmi.walk_record is not None
+        record = vmi.cold_record
+        vmi.flush_caches()
+        assert vmi.walk_record is None and vmi.cold_record is record
 
     def test_caches_off_never_records(self):
         tb = build_testbed(2, seed=SEED)
@@ -378,6 +392,254 @@ class TestRecordScope:
         assert vmi.walk_record is None
 
 
+# -- cold walks: replayed after a flush while every frame read holds ----------
+
+def cold_walk_all(world):
+    """Flush every session, then walk every VM, charges deferred."""
+    for vm in world.mc.pool_vm_names():
+        world.mc.vmi_for(vm).flush_caches()
+    return walk_all(world)
+
+
+def cold_walk_all_clocked(world):
+    """Flush every session, then walk every VM with the clock advancing
+    per charge."""
+    for vm in world.mc.pool_vm_names():
+        world.mc.vmi_for(vm).flush_caches()
+    return walk_all_clocked(world)
+
+
+def _cold(n=3):
+    return [cold_walk_all] * n
+
+
+def retarget_hal_node_pte(world):
+    """Map the page holding hal.dll's LDR node onto a fresh frame with
+    the same bytes: only a page-table frame changes."""
+    kernel = world.hv.domain("Dom1").kernel
+    page_va = _ldr_page(world, "Dom1", "hal.dll")
+    frame = kernel.aspace.frame_allocator.alloc()
+    kernel.memory.write(frame << 12, kernel.aspace.read(page_va, 0x1000))
+    kernel.aspace.page_tables.map_page(page_va, frame)
+
+
+def rename_hal(world):
+    """Rewrite hal.dll's ``BaseDllName`` buffer in place, same length."""
+    kernel = world.hv.domain("Dom1").kernel
+    off = world.mc.profile.offset("LDR_DATA_TABLE_ENTRY.BaseDllName")
+    us = UnicodeString.unpack(kernel.aspace.read(
+        kernel.module("hal.dll").ldr_entry_va + off, UnicodeString.SIZE))
+    name = "HAL.DLL".encode("utf-16-le")
+    assert us.length == len(name)
+    kernel.aspace.write(us.buffer, name)
+
+
+def spoof_last_name(world):
+    """Point the last module's ``BaseDllName`` at the first module's
+    name buffer: the walk revisits the first node's page near its end,
+    so last-access order is no longer first-access order."""
+    kernel = world.hv.domain("Dom1").kernel
+    off = world.mc.profile.offset("LDR_DATA_TABLE_ENTRY.BaseDllName")
+    first, *_, last = (m.ldr_entry_va for m in kernel.modules.values())
+    kernel.aspace.write(last + off,
+                        kernel.aspace.read(first + off, UnicodeString.SIZE))
+
+
+def subscribe_renamer(world):
+    """A guest writer on ``clock.on_advance``: renames hal.dll on the
+    fifth advance after it subscribes, in the middle of Dom1's walk."""
+    advances = []
+
+    def writer(now):
+        advances.append(now)
+        if len(advances) == 5:
+            rename_hal(world)
+
+    world.hv.clock.on_advance.append(writer)
+
+
+def _installer(config):
+    def install_injector(world):
+        world.injector = FaultInjector(config, seed=SEED).install(world.hv)
+    return install_injector
+
+
+def uninstall_injector(world):
+    world.injector.uninstall()
+
+
+def pause_dom1(world):
+    world.hv.pause("Dom1")
+
+
+def unpause_dom1(world):
+    world.hv.unpause("Dom1")
+
+
+def migrate_dom1(world):
+    world.hv.migrate_start("Dom1")
+
+
+def finish_dom1(world):
+    world.hv.migrate_finish("Dom1")
+
+
+def _dom1_names(outcome):
+    lists, _ = outcome[1]
+    return [e.name for e in lists[0]]
+
+
+class TestColdDifferential:
+    def test_cold_rounds(self, real_runs, replays):
+        world, outcomes, served = _differential(_pool(), _cold(4),
+                                                real_runs, replays)
+        # recorded by the first flushed walk, replayed after each flush
+        assert served == [[], ALL, ALL, ALL]
+        assert outcomes[0] == outcomes[1] == outcomes[3]
+        assert all(v.cold_record is not None for v in world.sessions())
+
+    def test_clocked_cold_rounds(self, real_runs, replays):
+        _, _, served = _differential(_pool(), [cold_walk_all_clocked] * 3,
+                                     real_runs, replays)
+        assert served == [[], ALL, ALL]
+
+    def test_dkom_unlink_between_rounds(self, real_runs, replays):
+        _, outcomes, served = _differential(
+            _pool(), _cold(2) + [unlink_dummy] + _cold(2), real_runs,
+            replays)
+        assert served[-2:] == [NOT_DOM1, ALL]
+        assert "dummy.sys" in _dom1_names(outcomes[1])
+        assert "dummy.sys" not in _dom1_names(outcomes[-2])
+
+    def test_page_table_write_retargets_a_page(self, real_runs, replays):
+        world, outcomes, served = _differential(
+            _pool(), _cold(2) + [retarget_hal_node_pte] + _cold(2),
+            real_runs, replays)
+        assert served[-2:] == [NOT_DOM1, ALL]
+        assert outcomes[-2] == outcomes[1]      # same list, new frame
+        # the re-recorded entry maps the page to its new frame
+        kernel = world.hv.domain("Dom1").kernel
+        page_va = _ldr_page(world, "Dom1", "hal.dll")
+        _, v2p_load, _ = world.mc.vmi_for("Dom1").cold_record.guard
+        assert dict(v2p_load[0])[page_va] \
+            == kernel.aspace._translator().translate(page_va)
+
+    def test_revisited_page_keeps_last_access_order(self, real_runs,
+                                                    replays):
+        world, outcomes, served = _differential(
+            _pool(), _cold(2) + [spoof_last_name] + _cold(2), real_runs,
+            replays)
+        assert served[-2:] == [NOT_DOM1, ALL]
+        names = _dom1_names(outcomes[-1])
+        assert names[0] == names[-1]
+        keys = world.mc.vmi_for("Dom1").v2p_cache.keys()
+        assert keys != sorted(keys)
+        assert keys[-2] == _ldr_page(world, "Dom1", names[0])
+
+    def test_base_dll_name_write(self, real_runs, replays):
+        _, outcomes, served = _differential(
+            _pool(), _cold(2) + [rename_hal] + _cold(2), real_runs,
+            replays)
+        assert served[-2:] == [NOT_DOM1, ALL]
+        assert "HAL.DLL" in _dom1_names(outcomes[-2])
+        assert "hal.dll" not in _dom1_names(outcomes[-2])
+
+    @pytest.mark.parametrize("config", [
+        FaultConfig(), FaultConfig(transient_rate=0.02)],
+        ids=["inert", "live"])
+    def test_injector_sees_every_read(self, config, real_runs, replays):
+        """An installed injector, inert or live, draws once per read:
+        no walk replays under it and the draws match read for read."""
+        world, _, served = _differential(
+            _pool(), _cold(2) + [_installer(config)] + _cold(2)
+            + [uninstall_injector] + _cold(2), real_runs, replays)
+        assert served[1] == ALL
+        assert served[3:5] == [[], []]
+        assert served[-2:] == [[], ALL]
+        assert world.injector.stats.reads > 0
+
+    def test_injector_from_the_start_never_records(self, real_runs,
+                                                   replays):
+        world, _, served = _differential(
+            _pool(fault_config=FaultConfig()), _cold(3), real_runs,
+            replays)
+        assert served == [[], [], []]
+        assert all(v.cold_record is None for v in world.sessions())
+
+    def test_racing_writer_on_clock(self, real_runs, replays):
+        """A subscriber that can fire mid-walk stops replay: the real
+        walk sees its write. Under deferred charges it cannot fire, and
+        replay resumes."""
+        _, outcomes, served = _differential(
+            _pool(),
+            [cold_walk_all_clocked] * 2 + [subscribe_renamer]
+            + [cold_walk_all_clocked] * 2 + _cold(2),
+            real_runs, replays)
+        assert served[1] == ALL
+        assert served[3:5] == [[], []]
+        assert "HAL.DLL" in [e.name for e in outcomes[3][1][0]]
+        assert served[-2:] == [[], ALL]
+
+    @pytest.mark.parametrize("step", [cold_walk_all, cold_walk_all_clocked])
+    def test_tracer_enabled(self, step, real_runs, replays):
+        world, _, served = _differential(_pool(traced=True), [step] * 3,
+                                         real_runs, replays)
+        assert served[-1] == ALL
+        assert any(s.name == "vmi.read_page" for s in world.tracer.spans)
+
+    def test_caches_off(self, real_runs, replays):
+        world, _, served = _differential(_pool(caches=False), _cold(3),
+                                         real_runs, replays)
+        assert served == [[], [], []]
+        assert all(v.cold_record is None for v in world.sessions())
+
+    def test_paused_domain_replays(self, real_runs, replays):
+        _, _, served = _differential(
+            _pool(), _cold(2) + [pause_dom1] + _cold(1) + [unpause_dom1]
+            + _cold(1), real_runs, replays)
+        assert served[3] == served[-1] == ALL
+
+    def test_migrating_domain_raises_alike(self, real_runs, replays):
+        _, outcomes, served = _differential(
+            _pool(), _cold(2) + [migrate_dom1] + _cold(1) + [finish_dom1]
+            + _cold(2), real_runs, replays)
+        assert outcomes[3][0] == "raised" and served[3] == []
+        # the failed check dropped Dom1's entry: it records, then replays
+        assert served[-2:] == [NOT_DOM1, ALL]
+
+    def test_reboot(self, real_runs, replays):
+        world, _, served = _differential(
+            _pool(), _cold(2) + [reboot_dom2] + _cold(3), real_runs,
+            replays)
+        assert world.mc.vmi_for("Dom2") is not world.retired[0]
+        # the new session's first walk follows a flush: it records
+        assert served[-3:] == [["Dom1", "Dom3"], ALL, ALL]
+
+
+def _flushing_pool():
+    """Four VMs checked with the checker's own per-round flush."""
+    def build():
+        tb = build_testbed(4, seed=SEED)
+        obs = make_observability(tb.clock)
+        mc = ModChecker(tb.hypervisor, tb.profile, obs=obs)
+        return SimpleNamespace(
+            tb=tb, hv=tb.hypervisor, mc=mc, obs=obs, injector=None,
+            tracer=obs.tracer,
+            sessions=lambda: [mc.vmi_for(vm) for vm in mc.pool_vm_names()])
+    return build
+
+
+def test_pool_rounds_with_flush(real_runs, replays):
+    steps = [pairwise_vote, canonical_vote] * 2 + [tamper_dom3] \
+        + [pairwise_vote, canonical_vote]
+    _, outcomes, served = _differential(_flushing_pool(), steps, real_runs,
+                                        replays)
+    assert served[0] == []
+    assert served[1] == served[-1] == ["Dom1", "Dom2", "Dom3", "Dom4"]
+    verdicts, _ = outcomes[-1][1]
+    assert [vm for vm, v in verdicts.items() if not v.clean] == ["Dom3"]
+
+
 # -- a sharded fleet at steady state ------------------------------------------
 
 def _fleet():
@@ -404,6 +666,17 @@ def test_fleet_steady_state(real_runs, replays):
     _, _, served = _differential(_fleet, [fleet_cycle] * 5, real_runs,
                                  replays)
     assert len(served[-1]) >= 24
+
+
+def test_fleet_sessions_never_hold_a_cold_entry():
+    """Fleet sessions keep their caches warm and never flush, so their
+    first walk, the only cold one, records nothing."""
+    world = _fleet()
+    for _ in range(3):
+        fleet_cycle(world)
+    sessions = world.sessions()
+    assert len(sessions) >= 24
+    assert all(v.cold_record is None for v in sessions)
 
 
 # -- the vote kinds: canonical (recharge) and pair (free) ---------------------
@@ -526,6 +799,26 @@ def test_replay_applies_policy_and_deltas(kind, traced):
     assert [(c.cpu, c.op) for c in tracer.charges] == list(want * traced)
 
 
+def test_replay_reopens_recorded_spans():
+    """A traced ``recharge`` replay charges each span-tagged charge
+    inside a span of the recorded name and attributes, under the span
+    open around the replay, and the rest outside it."""
+    tracer = Tracer(SimClock())
+    charges = ((0.5, "page_translate"), (0.25, "page_copy"),
+               (0.125, "small_read"))
+    spans = (None, ("vmi.read_page", {"vm": "Dom1", "frame": 7}), None)
+    entry = ledger.Entry("guard", "result", charges, (), spans)
+    with tracer.span("searcher.walk"):
+        assert ledger.replay("walk", entry, lambda *c: None, tracer,
+                             SimpleNamespace()) == "result"
+    assert [(s.name, s.span_id, s.parent_id, s.attrs)
+            for s in tracer.spans] == [
+        ("searcher.walk", 0, None, {}),
+        ("vmi.read_page", 1, 0, {"vm": "Dom1", "frame": 7})]
+    assert [(c.op, c.span_id) for c in tracer.charges] == [
+        ("page_translate", 0), ("page_copy", 1), ("small_read", 0)]
+
+
 # -- LRU promotion order ------------------------------------------------------
 
 @pytest.mark.parametrize("accesses", [
@@ -552,3 +845,20 @@ def test_replay_hits_leaves_a_run_of_gets_order(accesses):
     assert replayed.keys() == ran.keys()
     assert tuple(ran.keys()[-len(last_access):]) == last_access
     assert (replayed.hits, replayed.misses) == (ran.hits, ran.misses)
+
+
+@pytest.mark.parametrize("accesses", [
+    [3, 1, 3, 7, 1, 0],
+    [5, 5, 5],
+    [2, 4, 2, 4, 2, 9],
+])
+def test_load_leaves_a_run_from_empty(accesses):
+    """``load`` with a run's ``items()`` and counts reproduces the state
+    a run of get-then-put-on-miss accesses leaves in an empty cache."""
+    ran, loaded = LRUCache(16), LRUCache(16)
+    for key in accesses:
+        if ran.get(key) is None:
+            ran.put(key, f"v{key}")
+    loaded.load(ran.items(), ran.hits, ran.misses)
+    assert loaded.items() == ran.items()
+    assert (loaded.hits, loaded.misses) == (ran.hits, ran.misses)
