@@ -145,19 +145,22 @@ def warm_walk_env(catalog):
     return vmi, searcher
 
 
-def test_bench_walk_warm_real(benchmark, warm_walk_env):
-    """A warm LDR walk that re-issues its reads (record dropped first).
-
-    Paired with :func:`test_bench_walk_replayed`: the ratio of the two
-    means is the ``walk-replay-speedup`` wall-clock tier.
-    """
-    vmi, searcher = warm_walk_env
-
+def _warm_walker(vmi, searcher):
+    """A warm walk that re-issues its reads and records anew."""
     def walk():
         vmi.walk_record = None
         return searcher.list_modules()
+    return walk
 
-    entries = benchmark(walk)
+
+def test_bench_walk_warm_real(benchmark, warm_walk_env):
+    """A warm LDR walk that re-issues its reads (record dropped first).
+
+    :func:`test_bench_walk_replayed` times it against the replayed walk
+    for the ``walk-replay-speedup`` wall-clock tier.
+    """
+    vmi, searcher = warm_walk_env
+    entries = benchmark(_warm_walker(vmi, searcher))
     assert len(entries) == 10
 
 
@@ -186,12 +189,21 @@ def test_bench_walk_cold(benchmark, warm_walk_env):
 
 
 def test_bench_walk_replayed(benchmark, warm_walk_env):
-    """The same warm walk served from the session's record."""
+    """The same warm walk served from the session's record.
+
+    Also times real and replayed warm walks interleaved and records the
+    min of :data:`RATIO_ROUNDS` of each in ``extra_info``: the
+    ``walk-replay-speedup`` wall-clock tier gates their ratio.
+    """
     vmi, searcher = warm_walk_env
     searcher.list_modules()                 # (re-)record
     entries = benchmark(searcher.list_modules)
     assert len(entries) == 10
     assert vmi.walk_record is not None
+    real_s, replayed_s = interleaved_mins(_warm_walker(vmi, searcher),
+                                          searcher.list_modules)
+    assert vmi.walk_record is not None
+    benchmark.extra_info.update(real_min_s=real_s, replayed_min_s=replayed_s)
 
 
 def test_bench_walk_cold_replayed(benchmark, warm_walk_env):

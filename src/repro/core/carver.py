@@ -9,10 +9,12 @@ it even though its image pages stay mapped and executable.
 ``modscan``/``driverscan`` do: sweep the kernel driver arena for mapped
 pages whose first bytes are a plausible PE header (``MZ`` magic, sane
 ``e_lfanew``, ``PE\\0\\0`` signature, plausible ``SizeOfImage``),
-then extract the image exactly as the searcher would. The sweep walks
-the guest's page tables *at page-directory granularity* — one PDE read
-skips 4 MiB of unmapped space — so scanning the 48 MiB arena costs a
-few hundred introspection reads, not tens of thousands.
+then extract the image exactly as the searcher would. The sweep is
+:func:`repro.mem.paging.mapped_pages` over the session's physical
+reads: it walks the guest's page tables *at page-directory
+granularity* — one PDE read skips 4 MiB of unmapped space — so
+scanning the 48 MiB arena costs a few hundred introspection reads, not
+tens of thousands.
 
 Carved modules carry no ``BaseDllName``; :func:`identify_carved`
 matches them to named modules from other VMs by their base-independent
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 from ..errors import IntrospectionFault, PEFormatError
 from ..mem.address_space import DRIVER_AREA_BASE, DRIVER_AREA_END
-from ..mem.paging import PDE_LARGE, PTE_PRESENT
+from ..mem.paging import mapped_pages
 from ..mem.physical import PAGE_SIZE
 from ..pe.parser import PEImage
 from ..vmi.core import VMIInstance
@@ -36,9 +38,6 @@ from .searcher import MAX_IMAGE_BYTES, ModuleCopy
 
 __all__ = ["CarvedModule", "ModuleCarver", "module_fingerprint",
            "identify_carved"]
-
-_PDE_SPAN = 1 << 22              # one page directory entry covers 4 MiB
-
 
 @dataclass(frozen=True)
 class CarvedModule:
@@ -79,39 +78,6 @@ class ModuleCarver:
         self.vmi = vmi
         self.arena = arena
 
-    # -- page-table-guided sweep -------------------------------------------------
-
-    def _mapped_pages(self):
-        """Yield mapped page VAs in the arena, skipping 4 MiB holes."""
-        start, end = self.arena
-        pd_base = self.vmi.cr3 & ~(PAGE_SIZE - 1)
-        va = start & ~(_PDE_SPAN - 1)
-        while va < end:
-            pde_i = (va >> 22) & 0x3FF
-            pde, = struct.unpack(
-                "<I", self.vmi.read_pa(pd_base + 4 * pde_i, 4))
-            if not pde & PTE_PRESENT:
-                va += _PDE_SPAN
-                continue
-            if pde & PDE_LARGE:
-                # a PSE 4 MiB page: every covered page is mapped
-                for pte_i in range(1024):
-                    page_va = (pde_i << 22) | (pte_i << 12)
-                    if start <= page_va < end:
-                        yield page_va
-                va += _PDE_SPAN
-                continue
-            # One mapped read fetches the whole page table.
-            pt = self.vmi.read_pa(pde & ~(PAGE_SIZE - 1), PAGE_SIZE)
-            for pte_i in range(1024):
-                page_va = (pde_i << 22) | (pte_i << 12)
-                if not (start <= page_va < end):
-                    continue
-                pte, = struct.unpack_from("<I", pt, 4 * pte_i)
-                if pte & PTE_PRESENT:
-                    yield page_va
-            va += _PDE_SPAN
-
     # -- candidate validation -----------------------------------------------------
 
     def _probe_header(self, page_va: int) -> int | None:
@@ -135,7 +101,8 @@ class ModuleCarver:
         """Find every module image mapped in the arena."""
         found: list[CarvedModule] = []
         skip_until = -1
-        for page_va in self._mapped_pages():
+        for page_va in mapped_pages(self.vmi.read_pa, self.vmi.cr3,
+                                    *self.arena):
             if page_va < skip_until:
                 continue          # interior page of a carved image
             size = self._probe_header(page_va)

@@ -165,9 +165,11 @@ class FaultInjector:
         """Restore the hypervisor's pristine read path."""
         if self._hv is None:
             return
-        del self._hv.__dict__["read_guest_frame"]
-        del self._hv.__dict__["read_guest_physical"]
-        self._hv.__dict__.pop("fault_injector", None)
+        # delattr, not ``__dict__``: touching the instance dict would
+        # materialise it and slow every later attribute load on ``hv``
+        for name in ("read_guest_frame", "read_guest_physical",
+                     "fault_injector"):
+            delattr(self._hv, name)
         self._hv = None
 
     def installed(self, hypervisor: Hypervisor) -> "_Installed":

@@ -2,14 +2,14 @@
 
 from .address_space import (DRIVER_AREA_BASE, DRIVER_AREA_END, KERNEL_BASE,
                             KernelAddressSpace)
-from .paging import (PTE_PRESENT, PTE_RW, AddressTranslator, PageTableBuilder)
+from .paging import AddressTranslator, PageTableBuilder
 from .physical import PAGE_SIZE, FrameAllocator, PhysicalMemory
 from .regions import Region, RegionMap
 
 __all__ = [
     "DRIVER_AREA_BASE", "DRIVER_AREA_END", "KERNEL_BASE",
     "KernelAddressSpace",
-    "PTE_PRESENT", "PTE_RW", "AddressTranslator", "PageTableBuilder",
+    "AddressTranslator", "PageTableBuilder",
     "PAGE_SIZE", "FrameAllocator", "PhysicalMemory",
     "Region", "RegionMap",
 ]

@@ -14,6 +14,12 @@ supports PSE, and an introspector that cannot walk them misreads
 kernel memory. Access bits beyond P/RW/PS are stored but never
 enforced — ModChecker performs read-only introspection and never
 faults on protection, only on non-present mappings.
+
+This module is the only one that decodes PDEs and PTEs: every walker
+(the guest-side translator, the VMI session, the offline dump reader,
+the module carver's sweep and the cold-walk guard) goes through
+:func:`walk`, :func:`walk_batch`, :func:`mapped_pages` or
+:func:`page_table_frame` over its own physical-read primitive.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from ..errors import PageFault
 from .physical import PAGE_SHIFT, PAGE_SIZE, FrameAllocator, PhysicalMemory
 
 __all__ = ["PTE_PRESENT", "PTE_RW", "PDE_LARGE", "LARGE_PAGE_SIZE",
-           "FAULT_NONE", "FAULT_PDE", "FAULT_PTE", "walk_batch",
-           "fault_reason", "AddressTranslator", "PageTableBuilder"]
+           "FAULT_NONE", "FAULT_PDE", "FAULT_PTE", "walk", "walk_batch",
+           "mapped_pages", "page_table_frame", "fault_reason",
+           "AddressTranslator", "PageTableBuilder"]
 
 PTE_PRESENT = 0x001
 PTE_RW = 0x002
@@ -40,6 +47,8 @@ FAULT_PDE = 1                # PDE not present
 FAULT_PTE = 2                # PTE not present
 
 _ENTRY = struct.Struct("<I")
+_TABLE = struct.Struct("<1024I")
+_PAGE_MASK = PAGE_SIZE - 1
 _LARGE_MASK = LARGE_PAGE_SIZE - 1
 
 
@@ -56,6 +65,69 @@ def fault_reason(level: int, page_va: int) -> str:
     """
     kind = "PDE" if level == FAULT_PDE else "PTE"
     return f"{kind} not present for {page_va:#x}"
+
+
+def walk(read, cr3: int, va: int) -> int:
+    """Walk the tables under ``cr3`` for ``va``; its frame's address.
+
+    ``read(paddr, length) -> bytes`` is the physical-read primitive, as
+    for :func:`walk_batch`; the walk makes one 4-byte PDE read and,
+    unless that PDE maps a PSE 4 MiB page, one 4-byte PTE read. Returns
+    the page-aligned physical address of the frame backing ``va``. A
+    non-present entry raises :class:`PageFault` carrying ``va`` as given
+    and its :func:`fault_reason` text.
+    """
+    pde = int.from_bytes(read((cr3 & ~_PAGE_MASK) + 4 * ((va >> 22) & 0x3FF),
+                              4), "little")
+    if not pde & PTE_PRESENT:
+        raise PageFault(va, fault_reason(FAULT_PDE, va))
+    if pde & PDE_LARGE:
+        return (pde & ~_LARGE_MASK) | (va & _LARGE_MASK & ~_PAGE_MASK)
+    pte = int.from_bytes(read((pde & ~_PAGE_MASK) + 4 * ((va >> 12) & 0x3FF),
+                              4), "little")
+    if not pte & PTE_PRESENT:
+        raise PageFault(va, fault_reason(FAULT_PTE, va))
+    return pte & ~_PAGE_MASK
+
+
+def mapped_pages(read, cr3: int, start: int, end: int):
+    """Yield every mapped page VA in ``[start, end)``, in VA order.
+
+    Sweeps at page-directory granularity: one 4-byte PDE read per
+    4 MiB span, so a non-present PDE skips the span; a PSE 4 MiB page
+    maps all its pages; a page table is fetched with one whole-table
+    read. ``read`` is as for :func:`walk`. Lazy: each span's reads are
+    issued only when the caller asks for its first page.
+    """
+    pd_base = cr3 & ~_PAGE_MASK
+    for span in range(start & ~_LARGE_MASK, end, LARGE_PAGE_SIZE):
+        pde = int.from_bytes(read(pd_base + 4 * ((span >> 22) & 0x3FF), 4),
+                             "little")
+        if not pde & PTE_PRESENT:
+            continue
+        first = max(0, (start - span + _PAGE_MASK) >> PAGE_SHIFT)
+        last = min(1024, (end - span + _PAGE_MASK) >> PAGE_SHIFT)
+        if pde & PDE_LARGE:
+            yield from range(span + (first << PAGE_SHIFT),
+                             span + (last << PAGE_SHIFT), PAGE_SIZE)
+            continue
+        ptes = _TABLE.unpack(read(pde & ~_PAGE_MASK, PAGE_SIZE))
+        for pte_i in range(first, last):
+            if ptes[pte_i] & PTE_PRESENT:
+                yield span + (pte_i << PAGE_SHIFT)
+
+
+def page_table_frame(directory: bytes, va: int) -> int | None:
+    """The frame number of the page table that maps ``va``.
+
+    ``directory`` is the page directory's frame, as bytes. None when
+    the PDE is not present or maps a PSE 4 MiB page (no table).
+    """
+    at = 4 * ((va >> 22) & 0x3FF)
+    pde, = _ENTRY.unpack_from(directory, at)
+    if not pde & PTE_PRESENT or pde & PDE_LARGE:
+        return None
+    return pde >> PAGE_SHIFT
 
 
 def walk_batch(read, cr3: int, page_vas: np.ndarray,
@@ -208,19 +280,7 @@ class AddressTranslator:
         if not (0 <= vaddr < 1 << 32):
             raise PageFault(vaddr, f"non-canonical 32-bit VA {vaddr:#x}")
         self.walks += 1
-        pde_i, pte_i, offset = _split(vaddr)
-        pd_base = self.cr3 & ~(PAGE_SIZE - 1)
-        pde, = _ENTRY.unpack(self.memory.read(pd_base + 4 * pde_i, 4))
-        if not pde & PTE_PRESENT:
-            raise PageFault(vaddr, f"PDE not present for {vaddr:#x}")
-        if pde & PDE_LARGE:
-            return (pde & ~(LARGE_PAGE_SIZE - 1)) | (vaddr
-                                                     & (LARGE_PAGE_SIZE - 1))
-        pt_base = pde & ~(PAGE_SIZE - 1)
-        pte, = _ENTRY.unpack(self.memory.read(pt_base + 4 * pte_i, 4))
-        if not pte & PTE_PRESENT:
-            raise PageFault(vaddr, f"PTE not present for {vaddr:#x}")
-        return (pte & ~(PAGE_SIZE - 1)) | offset
+        return walk(self.memory.read, self.cr3, vaddr) | (vaddr & _PAGE_MASK)
 
     def translate_range(self, vaddr: int, length: int, *,
                         stop_on_fault: bool = True,

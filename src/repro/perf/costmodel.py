@@ -65,15 +65,6 @@ class CostModel:
     #: writes only the tampered hunks, not whole images
     page_write: float = 18.0 * _US
 
-    def searcher_page_cost(self, *, translated: bool, mapped: bool) -> float:
-        """Cost of fetching one VA page (cache flags from the VMI layer)."""
-        cost = self.small_read
-        if translated:
-            cost += self.translate_walk
-        if mapped:
-            cost += self.page_map
-        return cost
-
     def range_read_cost(self, *, walked: int, mapped: int) -> float:
         """Aggregate cost of one batched VA-range read.
 

@@ -8,7 +8,8 @@ Faithful properties:
 
 * **page-granular access** — every virtual read translates each covered
   VA page by walking the *guest's own page tables* (read through the
-  hypervisor like any other guest bytes), then maps the backing frame;
+  hypervisor like any other guest bytes, decoded by
+  :func:`repro.mem.paging.walk`), then maps the backing frame;
 * **read-mostly** — the one write path, :meth:`VMIInstance.
   write_va_range`, exists solely for the privileged remediation engine
   and goes through the hypervisor's protected-frame rules;
@@ -25,6 +26,7 @@ Faithful properties:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -35,7 +37,7 @@ from ..errors import (DomainNotFound, IntrospectionFault, PageFault,
                       VMIInitError)
 from ..hypervisor.xen import Hypervisor
 from ..ledger import Entry, replay
-from ..mem.paging import LARGE_PAGE_SIZE, PDE_LARGE, PTE_PRESENT, walk_batch
+from ..mem.paging import page_table_frame, walk, walk_batch
 from ..mem.physical import PAGE_SIZE
 from ..obs import NULL_OBS, Observability
 from ..perf.costmodel import DEFAULT_COST_MODEL
@@ -356,10 +358,9 @@ class VMIInstance:
         directory = memory.read_frame(self.cr3 >> 12)
         guard = {self.cr3 >> 12: directory}
         for page_va in pa_of:
-            at = 4 * ((page_va >> 22) & 0x3FF)
-            pde = int.from_bytes(directory[at:at + 4], "little")
-            if not pde & PDE_LARGE and pde >> 12 not in guard:
-                guard[pde >> 12] = memory.read_frame(pde >> 12)
+            table = page_table_frame(directory, page_va)
+            if table is not None and table not in guard:
+                guard[table] = memory.read_frame(table)
         page_items = pages.items()
         guard.update(page_items)
         frames = iter(copied)
@@ -425,23 +426,10 @@ class VMIInstance:
         return pa_page | (vaddr & _PAGE_MASK)
 
     def _walk(self, page_va: int) -> int:
-        pd_base = self.cr3 & ~_PAGE_MASK
-        pde = int.from_bytes(self.hv.read_guest_physical(
-            self.domain.domid, pd_base + 4 * ((page_va >> 22) & 0x3FF), 4),
-            "little")
-        if not pde & PTE_PRESENT:
-            raise PageFault(page_va, f"PDE not present for {page_va:#x}")
-        if pde & PDE_LARGE:
-            # PSE 4 MiB page: the PDE maps it directly.
-            return (pde & ~(LARGE_PAGE_SIZE - 1)) \
-                | (page_va & (LARGE_PAGE_SIZE - 1) & ~_PAGE_MASK)
-        pte = int.from_bytes(self.hv.read_guest_physical(
-            self.domain.domid,
-            (pde & ~_PAGE_MASK) + 4 * ((page_va >> 12) & 0x3FF), 4),
-            "little")
-        if not pte & PTE_PRESENT:
-            raise PageFault(page_va, f"PTE not present for {page_va:#x}")
-        return pte & ~_PAGE_MASK
+        # the read primitive is looked up per walk: a fault injector
+        # installed after attach shadows it on the hypervisor instance
+        return walk(partial(self.hv.read_guest_physical, self.domain.domid),
+                    self.cr3, page_va)
 
     # -- the per-page read step ----------------------------------------------------
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from ..errors import IntrospectionFault, PageFault, PhysicalAddressError
 from ..hypervisor.xen import Hypervisor
-from ..mem.paging import LARGE_PAGE_SIZE, PDE_LARGE, PTE_PRESENT
+from ..mem.paging import walk
 from ..mem.physical import PAGE_SIZE
 from .symbols import OSProfile
 
@@ -118,21 +118,9 @@ class DumpAnalyzer:
         return self.dump.read_physical(paddr, length)
 
     def translate_kv2p(self, vaddr: int) -> int:
-        page_va = vaddr & ~_PAGE_MASK
-        pde_i = (page_va >> 22) & 0x3FF
-        pte_i = (page_va >> 12) & 0x3FF
-        pd_base = self.cr3 & ~_PAGE_MASK
-        pde, = struct.unpack("<I", self.read_pa(pd_base + 4 * pde_i, 4))
-        if not pde & PTE_PRESENT:
-            raise PageFault(page_va, f"PDE not present for {page_va:#x}")
-        if pde & PDE_LARGE:
-            return (pde & ~(LARGE_PAGE_SIZE - 1)) \
-                | (vaddr & (LARGE_PAGE_SIZE - 1))
-        pt_base = pde & ~_PAGE_MASK
-        pte, = struct.unpack("<I", self.read_pa(pt_base + 4 * pte_i, 4))
-        if not pte & PTE_PRESENT:
-            raise PageFault(page_va, f"PTE not present for {page_va:#x}")
-        return (pte & ~_PAGE_MASK) | (vaddr & _PAGE_MASK)
+        """Kernel VA → PA by walking the dumped page tables."""
+        return walk(self.read_pa, self.cr3, vaddr & ~_PAGE_MASK) \
+            | (vaddr & _PAGE_MASK)
 
     def read_va(self, vaddr: int, length: int) -> bytes:
         out = bytearray(length)

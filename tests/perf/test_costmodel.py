@@ -16,13 +16,6 @@ class TestCostModel:
                                  + c.rva_scan_per_byte)
         assert per_page_local < c.page_map
 
-    def test_searcher_page_cost_composition(self):
-        c = CostModel()
-        full = c.searcher_page_cost(translated=True, mapped=True)
-        cached = c.searcher_page_cost(translated=False, mapped=False)
-        assert full == c.small_read + c.translate_walk + c.page_map
-        assert cached == c.small_read
-
     def test_frozen(self):
         import dataclasses
         import pytest
@@ -31,4 +24,4 @@ class TestCostModel:
 
     def test_custom_model(self):
         c = CostModel(page_map=1.0)
-        assert c.searcher_page_cost(translated=False, mapped=True) > 1.0
+        assert c.range_read_cost(walked=0, mapped=1) > 1.0

@@ -10,6 +10,8 @@ rates at zero the whole layer must be simulated-time invisible.
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.cloud import build_testbed
@@ -90,6 +92,30 @@ class TestLifecycle:
         assert "read_guest_physical" not in hv.__dict__
         # reads go straight through the class method again
         assert hv.read_guest_frame.__func__ is Hypervisor.read_guest_frame
+
+    def test_uninstall_leaves_the_instance_dict_unmaterialised(self):
+        """Install and uninstall must not build ``hv``'s ``__dict__``:
+        once built, CPython serves every later attribute load on ``hv``
+        from it, and each ``charge_dom0`` gets slower. The dict shows up
+        among the instance's GC referents only once materialised, so
+        this never reads ``hv.__dict__`` itself. A fresh subclass gets
+        fresh shared attribute keys: CPython stops adding keys to a
+        class's shared set after many instances, and a new attribute
+        then materialises the dict whatever the injector does."""
+        hv = type("FreshHypervisor", (Hypervisor,), {})()
+
+        def attribute_dicts():
+            return [r for r in gc.get_referents(hv)
+                    if isinstance(r, dict) and "clock" in r]
+
+        assert attribute_dicts() == []
+        with FaultInjector(FaultConfig(), seed=1).installed(hv):
+            pass
+        assert attribute_dicts() == []
+        assert hv.read_guest_frame.__func__ is Hypervisor.read_guest_frame
+        assert hv.read_guest_physical.__func__ \
+            is Hypervisor.read_guest_physical
+        assert getattr(hv, "fault_injector", None) is None
 
     def test_double_install_rejected(self, tb):
         injector = FaultInjector(seed=1)
