@@ -165,27 +165,27 @@ def test_bench_walk_warm_real(benchmark, warm_walk_env):
 
 
 def _cold_walker(vmi, searcher, *, real: bool):
-    """A flushed walk: real (cold record dropped first, so every page is
+    """A flushed walk: real (record dropped first, so every page is
     walked and mapped again and the walk records anew) or replayed."""
     def walk():
         if real:
-            vmi.cold_record = None
+            vmi.walk_record = None
         vmi.flush_caches()
         return searcher.list_modules()
     return walk
 
 
 def test_bench_walk_cold(benchmark, warm_walk_env):
-    """A real cold LDR walk: both caches flushed, the cold record
-    dropped, every page walked and mapped again — the discovery the
+    """A real cold LDR walk: both caches flushed, the record dropped,
+    every page walked and mapped again — the discovery the
     pool and daemon workloads paid each round after ``flush_caches``
     before cold-walk replay."""
     vmi, searcher = warm_walk_env
     mapped = vmi.stats.pages_mapped
     entries = benchmark(_cold_walker(vmi, searcher, real=True))
     assert len(entries) == 10
-    assert vmi.stats.pages_mapped > mapped and vmi.walk_record is None
-    assert vmi.cold_record is not None
+    assert vmi.stats.pages_mapped > mapped
+    assert vmi.walk_record.guard[-1] is not None    # the cold half
 
 
 def test_bench_walk_replayed(benchmark, warm_walk_env):
@@ -207,7 +207,7 @@ def test_bench_walk_replayed(benchmark, warm_walk_env):
 
 
 def test_bench_walk_cold_replayed(benchmark, warm_walk_env):
-    """The same flushed walk served from the session's cold record.
+    """The same flushed walk served from the record's cold half.
 
     Also times real and replayed cold walks interleaved and records the
     min of :data:`RATIO_ROUNDS` of each in ``extra_info``: the
@@ -220,7 +220,7 @@ def test_bench_walk_cold_replayed(benchmark, warm_walk_env):
     mapped = vmi.stats.pages_mapped
     entries = benchmark(replayed)
     assert entries == want and vmi.stats.pages_mapped > mapped
-    assert vmi.cold_record is not None
+    assert vmi.walk_record.guard[-1] is not None    # the cold half
     real_s, replayed_s = interleaved_mins(real, replayed)
     benchmark.extra_info.update(real_min_s=real_s, replayed_min_s=replayed_s)
 

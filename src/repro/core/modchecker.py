@@ -895,7 +895,7 @@ class ModChecker:
                 continue
             record_vmi_instance(metrics, vm_name, self._vmis.get(vm_name),
                                 base=self._vmi_stats_base.get(vm_name))
-        injector = getattr(self.hv, "fault_injector", None)
+        injector = self.hv.fault_injector
         if injector is not None:
             record_stats(metrics, injector.stats)
         if members is None:

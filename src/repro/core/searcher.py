@@ -13,16 +13,15 @@ fault-tolerant name read (an unmapped name page skips the node rather
 than crashing the checker; a transient fault still propagates, so the
 caller degrades the VM instead of silently losing a module).
 
-A walk served entirely from the session's V2P and page caches is
-kept as a ledger entry on the :class:`~repro.vmi.core.VMIInstance`;
-while every page it read is still cached as recorded, the next walk
-replays the entry instead of re-issuing the reads
+A walk whose charges its reads explain, warm (all cache hits) or cold
+(every first access a miss), is kept as one ledger entry on the
+:class:`~repro.vmi.core.VMIInstance`
+(:meth:`VMIInstance.record_walk <repro.vmi.core.VMIInstance.record_walk>`).
+The next walk replays it instead of re-issuing the reads while every
+page it read is still cached as recorded, or, after a cache flush,
+while every frame it read (page directory, page tables, data frames)
+holds the same bytes
 (:meth:`VMIInstance.replay_walk <repro.vmi.core.VMIInstance.replay_walk>`).
-A cold walk after a cache flush is kept as a second entry, replayed
-after later flushes while every frame it read (page directory, page
-tables, data frames) holds the same bytes
-(:meth:`VMIInstance.replay_cold_walk
-<repro.vmi.core.VMIInstance.replay_cold_walk>`).
 """
 
 from __future__ import annotations
@@ -85,10 +84,10 @@ class ModuleSearcher:
     def list_modules(self) -> list[ModuleListEntry]:
         """Decode every node of PsLoadedModuleList, in load order.
 
-        On a live session a warm walk is replayed from the session's
-        record when every page it read is still cached as recorded, and
-        a cold walk from its cold record when every frame it read is
-        unchanged; the result and all accounting equal re-running it.
+        On a live session the walk is replayed from the session's
+        record when every page it read is still cached as recorded, or,
+        with the caches flushed, when every frame it read is unchanged;
+        the result and all accounting equal re-running it.
         """
         with self.obs.tracer.span("searcher.walk",
                                   vm=self.vmi.domain.name) as span:
@@ -103,22 +102,10 @@ class ModuleSearcher:
         replayed = vmi.replay_walk()            # drops a stale entry
         if replayed is not None:
             return list(replayed)
-        cold = not len(vmi.v2p_cache)           # cannot be all-hit
-        if cold:
-            replayed = vmi.replay_cold_walk()   # drops a stale entry
-            if replayed is not None:
-                return list(replayed)
-            start = vmi.cold_walk_start()
-            if start is None:
-                return self._walk_module_list()
         nodes: list[tuple[int, tuple[int, int] | None]] = []
         with vmi.hv.recorded_charges() as charges:
             entries = self._walk_module_list(nodes)
-        reads = self._walk_reads(nodes)
-        if cold:
-            vmi.record_cold_walk(start, charges, reads, entries)
-        else:
-            vmi.record_walk(charges, reads, entries)
+        vmi.record_walk(charges, self._walk_reads(nodes), entries)
         return entries
 
     def _walk_reads(self, nodes):

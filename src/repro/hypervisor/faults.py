@@ -4,8 +4,8 @@ The paper assumes every guest read succeeds, but its own §V discussion
 (paged-out module pages, live guests mutating memory mid-copy) says the
 real channel is unreliable. This module makes that unreliability a
 first-class, *reproducible* experiment variable: a seeded
-:class:`FaultInjector` installs itself over a hypervisor's
-``read_guest_frame`` / ``read_guest_physical`` primitives and injects
+:class:`FaultInjector` installed on a hypervisor receives every
+``read_guest_frame`` / ``read_guest_physical`` call and injects
 
 * **transient faults** — the read simply fails once
   (:class:`~repro.errors.TransientFault`), as a contended
@@ -122,10 +122,10 @@ class FaultInjector:
         ...                            # reads now fault deterministically
         injector.uninstall()
 
-    The injector shadows the hypervisor instance's ``read_guest_frame``
-    and ``read_guest_physical`` bound methods (the same technique the
-    parallel checker uses for deferred charges), so a plain
-    :class:`Hypervisor` with no injector installed pays zero overhead.
+    Installing sets the hypervisor's ``fault_injector`` attribute, and
+    the hypervisor's ``read_guest_frame`` and ``read_guest_physical``
+    hand each read to the injector while it is set; a hypervisor with
+    no injector pays one attribute test per read.
     """
 
     def __init__(self, config: FaultConfig | None = None, *,
@@ -150,26 +150,15 @@ class FaultInjector:
         if self._hv is not None:
             raise RuntimeError("injector is already installed")
         self._hv = hypervisor
-        self._orig_frame = hypervisor.read_guest_frame
-        self._orig_physical = hypervisor.read_guest_physical
-        hypervisor.read_guest_frame = (          # type: ignore[method-assign]
-            self._read_guest_frame)
-        hypervisor.read_guest_physical = (      # type: ignore[method-assign]
-            self._read_guest_physical)
-        # Advertise ourselves so the observability bridge can publish
-        # injected-vs-recovered fault counters without new plumbing.
-        hypervisor.fault_injector = self  # type: ignore[attr-defined]
+        # the observability bridge publishes our counters from here too
+        hypervisor.fault_injector = self
         return self
 
     def uninstall(self) -> None:
         """Restore the hypervisor's pristine read path."""
         if self._hv is None:
             return
-        # delattr, not ``__dict__``: touching the instance dict would
-        # materialise it and slow every later attribute load on ``hv``
-        for name in ("read_guest_frame", "read_guest_physical",
-                     "fault_injector"):
-            delattr(self._hv, name)
+        self._hv.fault_injector = None
         self._hv = None
 
     def installed(self, hypervisor: Hypervisor) -> "_Installed":
@@ -250,33 +239,39 @@ class FaultInjector:
             return False
         return self._roll(domain.domid, frame_no, domain.name)
 
-    # -- interposed primitives ---------------------------------------------
+    # -- the reads the hypervisor hands over ---------------------------------
 
-    def _read_guest_frame(self, key: int | str, frame_no: int) -> bytes:
+    def read_guest_frame(self, key: int | str, frame_no: int) -> bytes:
+        """:meth:`Hypervisor.read_guest_frame` through the fault gate."""
         torn = self._gate(key, frame_no)
-        domid = self._hv.domain(key).domid  # type: ignore[union-attr]
+        hv = self._hv
+        domid = hv.domain(key).domid  # type: ignore[union-attr]
         if torn:
             stale = self._stale.get((domid, frame_no))
             if stale is not None:
                 self.stats.stale_served += 1
                 return stale
-        page = self._orig_frame(key, frame_no)
+        page = hv._introspectable_kernel(  # type: ignore[union-attr]
+            key).memory.read_frame(frame_no)
         if self.config.torn_page_rate:
             self._stale[(domid, frame_no)] = page
         return page
 
-    def _read_guest_physical(self, key: int | str, paddr: int,
-                             length: int) -> bytes:
+    def read_guest_physical(self, key: int | str, paddr: int,
+                            length: int) -> bytes:
+        """:meth:`Hypervisor.read_guest_physical` through the fault gate."""
         frame_no = paddr >> 12
         torn = self._gate(key, frame_no)
-        domid = self._hv.domain(key).domid  # type: ignore[union-attr]
+        hv = self._hv
+        domid = hv.domain(key).domid  # type: ignore[union-attr]
         if torn:
             stale = self._stale.get((domid, frame_no))
             offset = paddr & _PAGE_MASK
             if stale is not None and offset + length <= len(stale):
                 self.stats.stale_served += 1
                 return stale[offset:offset + length]
-        return self._orig_physical(key, paddr, length)
+        return hv._introspectable_kernel(  # type: ignore[union-attr]
+            key).memory.read(paddr, length)
 
 
 class _Installed:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .clock import SimClock
 from .domain import Domain, DomainKind, DomainState
 from .scheduler import ContentionScheduler, CpuModel
 from .traps import TrapQueue
+
+if TYPE_CHECKING:
+    from .faults import FaultInjector
 
 __all__ = ["Hypervisor"]
 
@@ -68,6 +72,9 @@ class Hypervisor:
             vcpus=1))
         #: cumulative Dom0 CPU-seconds actually consumed (pre-stretch)
         self.dom0_cpu_seconds = 0.0
+        #: the installed :class:`~repro.hypervisor.faults.FaultInjector`,
+        #: which the scalar guest reads pass through (None: pristine)
+        self.fault_injector: FaultInjector | None = None
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -265,12 +272,19 @@ class Hypervisor:
         return domain.kernel
 
     def read_guest_frame(self, key: int | str, frame_no: int) -> bytes:
-        """Map one guest frame read-only into Dom0 (4 KiB byte copy)."""
+        """Map one guest frame read-only into Dom0 (4 KiB byte copy),
+        through the fault injector when one is installed."""
+        if self.fault_injector is not None:
+            return self.fault_injector.read_guest_frame(key, frame_no)
         return self._introspectable_kernel(key).memory.read_frame(frame_no)
 
     def read_guest_physical(self, key: int | str, paddr: int,
                             length: int) -> bytes:
-        """Arbitrary physical-range read (libvmi's ``read_pa``)."""
+        """Arbitrary physical-range read (libvmi's ``read_pa``), through
+        the fault injector when one is installed."""
+        if self.fault_injector is not None:
+            return self.fault_injector.read_guest_physical(key, paddr,
+                                                           length)
         return self._introspectable_kernel(key).memory.read(paddr, length)
 
     def read_guest_frames(self, key: int | str, frame_nos) -> np.ndarray:

@@ -21,11 +21,13 @@ change what the checker would see: a boot-generation bump, a page
 delta, an entry relocation, an explicit membership/breaker/migration
 invalidation, or the full-recheck TTL expiring.
 
-A warm LDR walk is served from the two caches without issuing a read
-(:meth:`VMIInstance.replay_walk`): :meth:`LRUCache.replay_hits` leaves
-an LRU exactly where the walk's run of hits would. A cold walk (both
-caches empty) is served by :meth:`LRUCache.load`, which refills an
-empty LRU with the entries the walk left (:meth:`LRUCache.items`).
+An LDR walk is replayed from one ledger entry without issuing a read
+(:meth:`VMIInstance.replay_walk`). The entry holds the items the walk
+used in each cache, in last-access order. Into warm caches,
+:meth:`LRUCache.replay_hits` leaves an LRU exactly where the walk's
+run of hits would; into caches a flush emptied, :meth:`LRUCache.load`
+refills an LRU with those items, which after a cold walk from empty
+are exactly :meth:`LRUCache.items`.
 
 Accounting discipline: manifest lookups are *not* page-cache accesses.
 The store keeps its own hit/miss/invalidation counters and consults
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Generic, Hashable, TypeVar
+from typing import TYPE_CHECKING, Generic, Hashable, Iterable, TypeVar
 
 from ..counters import Series, declare
 
@@ -85,7 +87,7 @@ class LRUCache(Generic[K, V]):
         """
         return self._data.get(key)
 
-    def replay_hits(self, keys: tuple[K, ...], hits: int) -> None:
+    def replay_hits(self, keys: Iterable[K], hits: int) -> None:
         """Leave the state a run of ``hits`` :meth:`get` hits leaves.
 
         ``keys`` are the run's keys, each once, in order of its *last*
@@ -104,7 +106,7 @@ class LRUCache(Generic[K, V]):
         """The ``(key, value)`` entries, least recently used first."""
         return tuple(self._data.items())
 
-    def load(self, items: tuple[tuple[K, V], ...], hits: int,
+    def load(self, items: Iterable[tuple[K, V]], hits: int,
              misses: int) -> None:
         """Leave the state a run of accesses from empty leaves.
 

@@ -14,10 +14,11 @@ Faithful properties:
   write_va_range`, exists solely for the privileged remediation engine
   and goes through the hypervisor's protected-frame rules;
 * **caches** — optional V2P and page caches as in libvmi, flushable
-  between checking rounds; a walk that ran entirely in them is
-  replayed from its ledger entry (:meth:`VMIInstance.replay_walk`), and
-  a walk that started with both empty after a flush is replayed while
-  every frame it read is unchanged (:meth:`VMIInstance.replay_cold_walk`);
+  between checking rounds; an LDR walk whose charges its reads explain
+  keeps one ledger entry (:meth:`VMIInstance.record_walk`), replayed
+  while every page it read is still cached as recorded, or, after a
+  flush, while every frame it read is unchanged
+  (:meth:`VMIInstance.replay_walk`);
 * **cost accounting** — each primitive charges the Dom0 CPU through the
   hypervisor's contention model, producing the simulated runtimes of
   Figs. 7–9.
@@ -25,9 +26,8 @@ Faithful properties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -130,12 +130,6 @@ class VMIStats:
     batch_fallbacks: int = 0
 
 
-#: every ``VMIStats`` field's value, read without materialising the
-#: instance ``__dict__`` (``vars()`` would slow every later update)
-_STAT_FIELDS = tuple(f.name for f in fields(VMIStats))
-_stat_values = attrgetter(*_STAT_FIELDS)
-
-
 def _last_access_order(keys: list[int]) -> tuple[int, ...]:
     """Distinct ``keys``, ordered by the position of their last use."""
     return tuple(reversed(dict.fromkeys(reversed(keys))))
@@ -170,12 +164,11 @@ class VMIInstance:
         self.v2p_cache = V2PCache()
         self.page_cache = PageCache()
         self.stats = VMIStats()
-        #: the last all-hit walk's ledger entry, see :meth:`replay_walk`
+        #: the last exact walk's ledger entry, see :meth:`record_walk`
         self.walk_record: Entry | None = None
-        #: the last cold walk's ledger entry, see :meth:`replay_cold_walk`
-        self.cold_record: Entry | None = None
-        #: only a cold walk after a flush is recorded (a fresh session's
-        #: first walk is not: a fleet session never walks cold again)
+        #: only a cold walk after a flush keeps a cold half (a fresh
+        #: session's first walk does not: a fleet session never walks
+        #: cold again)
         self._flushed = False
         self.cr3 = hypervisor.guest_cr3(domain_key)
         #: the guest's boot generation at attach time; a reboot swaps
@@ -190,216 +183,166 @@ class VMIInstance:
 
         Also resets their hit/miss counters, so the cache-hit-ratio
         metric describes the round being started, not the whole session.
-        Drops the warm walk record; keeps the cold one, whose guard is
-        the guest's frames, not the caches.
+        Keeps the walk record: with both caches empty, only its cold
+        half, whose guard is the guest's frames, can serve.
         """
         self.v2p_cache.flush()
         self.page_cache.flush()
         self.v2p_cache.reset_stats()
         self.page_cache.reset_stats()
-        self.walk_record = None
         self._flushed = True
 
     # -- walk replay --------------------------------------------------------------
 
     def record_walk(self, charges: list, reads, entries) -> None:
-        """Keep the walk as a ``walk`` ledger entry if it ran in cache.
+        """Keep the walk as the session's ``walk`` ledger entry if exact.
 
         ``charges`` are the walk's recorded Dom0 charges, ``reads`` its
-        ``(va, length)`` reads in issue order (an iterable, consumed
-        only for a warm walk), ``entries`` its result. One
-        ``small_read`` charge per read and nothing else (no
-        translation, frame map or retry), with every read inside one
-        page, proves each read was a single-page hit in both caches;
-        any other walk leaves no entry.
+        ``(va, length)`` reads in issue order, ``entries`` its result.
+        The walk is kept only if every page it read is still cached and
+        its charges are exactly those its reads derive: warm, one
+        ``small_read`` per read (every page hit both caches), or cold,
+        ``page_translate`` at each page VA's first access,
+        ``page_copy`` at each frame's first access and ``small_read``
+        after each read (every first access missed, nothing was
+        re-mapped). The guard holds the V2P ``va: pa`` and page-cache
+        ``frame: bytes`` items the walk used, in last-access order:
+        after a cold walk from empty caches, exactly
+        :meth:`LRUCache.items`. A cold walk in a flushed session that
+        read only guest frames (:meth:`_frozen_memory`) also keeps a
+        cold half, whose guard is the bytes of every frame it read: the
+        page directory, the used page tables and the data frames. The
+        walk is a pure function of those frames, so while they hold, a
+        re-run reads and leaves exactly what it did.
         """
         self.walk_record = None
-        if any(op != "small_read" for _, op in charges):
+        if not self.enable_caches:
             return
-        page_seq: list[int] = []
-        total = 0
+        v2p, frames = self.v2p_cache.peek, self.page_cache.peek
+        costs = self.costs
+        small = (costs.small_read, "small_read")
+        vm = self.domain.name
+        page_vas: list[int] = []            # every page read, in order
+        frame_nos: list[int] = []
+        seen_vas: set[int] = set()
+        seen_frames: set[int] = set()
+        cold: list = []                     # the charges a cold walk issues
+        spans: list = []                    # and the span of each
+        n_reads = total = 0
         for va, length in reads:
-            offset = va & _PAGE_MASK
-            if length <= 0 or offset + length > PAGE_SIZE:
-                return
-            page_seq.append(va - offset)
+            for page_va in range(va & ~_PAGE_MASK, va + length, PAGE_SIZE):
+                pa_page = v2p(page_va)
+                if pa_page is None or frames(pa_page >> 12) is None:
+                    return
+                frame_no = pa_page >> 12
+                if page_va not in seen_vas:
+                    seen_vas.add(page_va)
+                    cold.append((costs.translate_walk, "page_translate"))
+                    spans.append(None)
+                if frame_no not in seen_frames:
+                    seen_frames.add(frame_no)
+                    cold.append((costs.page_map, "page_copy"))
+                    spans.append(("vmi.read_page",
+                                  {"vm": vm, "frame": frame_no}))
+                page_vas.append(page_va)
+                frame_nos.append(frame_no)
+            cold.append(small)
+            spans.append(None)
+            n_reads += 1
             total += length
-        n = len(page_seq)
-        if n != len(charges):
+        charges = tuple(charges)
+        warm = charges == (small,) * n_reads
+        if not warm and charges != tuple(cold):
             return
-        v2p_order = _last_access_order(page_seq)
-        pa = {page_va: self.v2p_cache.peek(page_va) for page_va in v2p_order}
-        pages = tuple((page_va, pa_page, self.page_cache.peek(pa_page >> 12))
-                      for page_va, pa_page in pa.items())
-        frame_order = _last_access_order([pa[page_va] >> 12
-                                          for page_va in page_seq])
+        v2p_items = {page_va: v2p(page_va)
+                     for page_va in _last_access_order(page_vas)}
+        page_items = {frame_no: frames(frame_no)
+                      for frame_no in _last_access_order(frame_nos)}
+        n, entries = len(page_vas), tuple(entries)
+        memory = None if warm or not self._flushed else self._frozen_memory()
+        cold_half = None
+        if memory is not None:
+            directory = memory.read_frame(self.cr3 >> 12)
+            guard = {self.cr3 >> 12: directory}
+            for page_va in v2p_items:
+                table = page_table_frame(directory, page_va)
+                if table is not None and table not in guard:
+                    guard[table] = memory.read_frame(table)
+            guard.update(page_items)
+            cold_half = Entry(
+                tuple(guard.items()), entries, charges,
+                (("translations", len(v2p_items)),
+                 ("translation_cache_hits", n - len(v2p_items)),
+                 ("pages_mapped", len(page_items)),
+                 ("page_cache_hits", n - len(page_items)),
+                 ("bytes_read", total), ("read_calls", n_reads)),
+                tuple(spans))
         self.walk_record = Entry(
-            (pages, v2p_order, frame_order), tuple(entries), tuple(charges),
+            (v2p_items, page_items, n, cold_half), entries,
+            (small,) * n_reads,
             (("translation_cache_hits", n), ("page_cache_hits", n),
-             ("bytes_read", total), ("read_calls", n)))
+             ("bytes_read", total), ("read_calls", n_reads)))
 
     def replay_walk(self) -> tuple | None:
         """The recorded walk's entries, its side effects replayed.
 
-        The guard, checked with stats-neutral peeks: caches are on and
-        every recorded page still translates to the recorded PA, its
-        frame cached as the identical ``bytes`` object, so a re-run
-        would read the same bytes and return the same entries. Then
-        each cache's hits are promoted in last-access order and the
-        ledger re-applies the charges and ``VMIStats`` deltas.
-        Otherwise drops the entry and returns None.
+        The warm guard, checked with stats-neutral peeks: every
+        recorded page still translates to the recorded PA, its frame
+        cached as the identical ``bytes`` object; then each cache's
+        hits are promoted in last-access order. Failing that, with both
+        caches empty (after a flush), the cold half's guard: the walk
+        would read only guest frames (:meth:`_frozen_memory`) and every
+        guarded frame holds its recorded bytes; then both caches are
+        loaded with the items and the hit and miss counts the walk
+        left. Either way the ledger re-applies that half's charges (a
+        cold ``page_copy`` inside its ``vmi.read_page`` span when
+        traced) and ``VMIStats`` deltas. With caches off or no guard
+        holding, drops the entry and returns None.
         """
         entry = self.walk_record
-        if entry is None:
-            return None
-        pages, v2p_order, frame_order = entry.guard
-        v2p, frames = self.v2p_cache.peek, self.page_cache.peek
-        if not self.enable_caches or any(
-                v2p(page_va) != pa_page or frames(pa_page >> 12) is not frame
-                for page_va, pa_page, frame in pages):
-            self.walk_record = None
-            return None
-        n = len(entry.charges)
-        self.v2p_cache.replay_hits(v2p_order, n)
-        self.page_cache.replay_hits(frame_order, n)
-        return replay("walk", entry, self.hv.charge_dom0, self.obs.tracer,
-                      self.stats)
-
-    # -- cold walk replay ----------------------------------------------------------
-
-    def _caches_empty(self) -> bool:
-        return (self.enable_caches and not len(self.v2p_cache)
-                and not len(self.page_cache))
+        if entry is not None and self.enable_caches:
+            v2p_items, page_items, n, cold = entry.guard
+            v2p, pages = self.v2p_cache, self.page_cache
+            if all(v2p.peek(page_va) == pa_page
+                   for page_va, pa_page in v2p_items.items()) \
+                    and all(pages.peek(frame_no) is frame
+                            for frame_no, frame in page_items.items()):
+                v2p.replay_hits(v2p_items, n)
+                pages.replay_hits(page_items, n)
+                return replay("walk", entry, self.hv.charge_dom0,
+                              self.obs.tracer, self.stats)
+            if cold is not None and not len(v2p) and not len(pages):
+                memory = self._frozen_memory()
+                if memory is not None and all(
+                        memory.read_frame(frame_no) == frame
+                        for frame_no, frame in cold.guard):
+                    v2p.load(v2p_items.items(), n - len(v2p_items),
+                             len(v2p_items))
+                    pages.load(page_items.items(), n - len(page_items),
+                               len(page_items))
+                    return replay("walk", cold, self.hv.charge_dom0,
+                                  self.obs.tracer, self.stats)
+        self.walk_record = None
+        return None
 
     def _frozen_memory(self):
         """The guest's physical memory, if a walk here reads only it.
 
-        That holds when nothing shadows the hypervisor's read primitives
-        on the instance (a fault injector does), no ``clock.on_advance``
-        subscriber can fire
-        mid-walk (none is registered, or charges are deferred) and the
-        domain is readable: a walk then reads guest frames and nothing
-        else, and nothing writes them while it runs. None otherwise.
+        That holds when no fault injector is installed, no
+        ``clock.on_advance`` subscriber can fire mid-walk (none is
+        registered, or charges are deferred) and the domain is
+        readable: a walk then reads guest frames and nothing else, and
+        nothing writes them while it runs. None otherwise.
         """
         hv = self.hv
-        cls = type(hv)
-        if getattr(hv.read_guest_frame, "__func__", None) \
-                is not cls.read_guest_frame \
-                or getattr(hv.read_guest_physical, "__func__", None) \
-                is not cls.read_guest_physical:
-            return None
-        if hv.clock.on_advance and not hv.charges_deferred:
+        if hv.fault_injector is not None \
+                or hv.clock.on_advance and not hv.charges_deferred:
             return None
         try:
             domain = hv.domain(self.domain.domid)
         except DomainNotFound:
             return None
         return domain.kernel.memory if domain.introspectable else None
-
-    def cold_walk_start(self) -> tuple | None:
-        """The counters a cold walk starting now is recorded against.
-
-        None, so the walk is not recorded, unless the session was
-        flushed, both caches are on and empty and the walk can read
-        only guest frames (:meth:`_frozen_memory`).
-        """
-        if not (self._flushed and self._caches_empty()) \
-                or self._frozen_memory() is None:
-            return None
-        v2p, pages = self.v2p_cache, self.page_cache
-        return ((v2p.hits, v2p.misses, pages.hits, pages.misses),
-                _stat_values(self.stats))
-
-    def record_cold_walk(self, start: tuple, charges: list, reads,
-                         entries) -> None:
-        """Keep a cold walk as a ``walk`` ledger entry if it is exact.
-
-        ``start`` is :meth:`cold_walk_start`'s snapshot; ``charges``,
-        ``reads`` and ``entries`` are as for :meth:`record_walk`. The
-        walk is kept only if it charged nothing but ``page_translate``,
-        ``page_copy`` and ``small_read``, evicted nothing, put every V2P
-        miss (no read was unmapped) and its charges are exactly those
-        its reads explain. The entry's guard holds the bytes
-        of every frame the walk read: the page directory, the page
-        tables its translations used and each data frame as mapped.
-        The walk is a pure function of those bytes, so while they are
-        unchanged a re-run reads and leaves exactly what it did.
-        """
-        self.cold_record = None
-        memory = self._frozen_memory()
-        if memory is None:
-            return
-        (v2p_hits, v2p_misses, page_hits, page_misses), stats = start
-        v2p, pages = self.v2p_cache, self.page_cache
-        v2p_misses = v2p.misses - v2p_misses
-        page_misses = pages.misses - page_misses
-        if len(v2p) != v2p_misses or len(pages) != page_misses:
-            return
-        v2p_items = v2p.items()
-        pa_of = dict(v2p_items)
-        n_reads = 0
-        copied: dict[int, None] = {}        # frames in first-access order
-        for va, length in reads:
-            n_reads += 1
-            for page_va in range(va & ~_PAGE_MASK, va + length, PAGE_SIZE):
-                pa_page = pa_of.get(page_va)
-                if pa_page is None:
-                    return
-                copied[pa_page >> 12] = None
-        # one translation per V2P entry, one copy per distinct frame,
-        # one small_read per read, nothing else: each read succeeded,
-        # so the k-th page copy mapped the k-th frame first read
-        ops = [op for _, op in charges]
-        if (ops.count("page_translate"), ops.count("page_copy"),
-                ops.count("small_read"), len(copied)) \
-                != (len(v2p), len(pages), n_reads, len(pages)) \
-                or len(ops) != len(v2p) + len(pages) + n_reads:
-            return
-        directory = memory.read_frame(self.cr3 >> 12)
-        guard = {self.cr3 >> 12: directory}
-        for page_va in pa_of:
-            table = page_table_frame(directory, page_va)
-            if table is not None and table not in guard:
-                guard[table] = memory.read_frame(table)
-        page_items = pages.items()
-        guard.update(page_items)
-        frames = iter(copied)
-        vm = self.domain.name
-        self.cold_record = Entry(
-            (tuple(guard.items()),
-             (v2p_items, v2p.hits - v2p_hits, v2p_misses),
-             (page_items, pages.hits - page_hits, page_misses)),
-            tuple(entries), tuple(charges),
-            tuple((name, now - was) for name, now, was
-                  in zip(_STAT_FIELDS, _stat_values(self.stats), stats)
-                  if now != was),
-            tuple(("vmi.read_page", {"vm": vm, "frame": next(frames)})
-                  if op == "page_copy" else None for _, op in charges))
-
-    def replay_cold_walk(self) -> tuple | None:
-        """The recorded cold walk's entries, its side effects replayed.
-
-        The guard: both caches on and empty, the walk would read only
-        guest frames (:meth:`_frozen_memory`) and every guarded frame
-        holds its recorded bytes. Then both caches are loaded as the
-        walk left them, with its hit and miss counts, and the ledger
-        re-applies its charges (each ``page_copy`` inside its
-        ``vmi.read_page`` span when traced) and ``VMIStats`` deltas.
-        Otherwise drops the entry and returns None.
-        """
-        entry = self.cold_record
-        if entry is None:
-            return None
-        frames, v2p_load, page_load = entry.guard
-        memory = self._frozen_memory() if self._caches_empty() else None
-        if memory is None or any(memory.read_frame(frame_no) != data
-                                 for frame_no, data in frames):
-            self.cold_record = None
-            return None
-        self.v2p_cache.load(*v2p_load)
-        self.page_cache.load(*page_load)
-        return replay("walk", entry, self.hv.charge_dom0, self.obs.tracer,
-                      self.stats)
 
     def charge(self, op: str, cpu_seconds: float) -> None:
         """Charge ``cpu_seconds`` of Dom0 work as ``op`` (an
@@ -426,8 +369,8 @@ class VMIInstance:
         return pa_page | (vaddr & _PAGE_MASK)
 
     def _walk(self, page_va: int) -> int:
-        # the read primitive is looked up per walk: a fault injector
-        # installed after attach shadows it on the hypervisor instance
+        # the read primitive is looked up per walk: a tracer may hook
+        # the class's method after the session attached
         return walk(partial(self.hv.read_guest_physical, self.domain.domid),
                     self.cr3, page_va)
 
@@ -652,11 +595,8 @@ class VMIInstance:
         """
         if not self.batch:
             return False
-        injector = getattr(self.hv, "fault_injector", None)
-        if injector is None:
-            return True
-        config = getattr(injector, "config", None)
-        return config is not None and not config.any_faults
+        injector = self.hv.fault_injector
+        return injector is None or not injector.config.any_faults
 
     @staticmethod
     def _covered_pages(vaddr: int, length: int) -> int:

@@ -1,13 +1,13 @@
 """Differential tests: a ledger replay equals re-running the work.
 
 The replay ledger (:mod:`repro.ledger`) serves three kinds of step: an
-LDR walk (warm: every read was a single-page hit in both VMI caches,
-replayed while every page it read is still cached as recorded; cold:
-both caches empty after a flush, replayed while every frame it read
-holds the same bytes), a canonical-vote member step and a pairwise
-comparison (both replayed while the two copies' content keys hold).
+LDR walk (one entry per session; its warm half is replayed while every
+page it read is still cached as recorded, its cold half into caches a
+flush emptied while every frame it read holds the same bytes), a
+canonical-vote member step and a pairwise comparison (both replayed
+while the two copies' content keys hold).
 Each scenario here runs two identically seeded worlds step by step. In
-the *real* world every walk drops its session's entries first and
+the *real* world every walk drops its session's entry first and
 every vote's ledger lookup misses, so all the work re-runs; in the
 *replay* world entries replay whenever their guard holds. After every step both worlds must agree on the
 step's outcome and on the whole observable state: every ``VMIStats``
@@ -50,17 +50,16 @@ SEED = 42
 
 @pytest.fixture
 def replays(monkeypatch):
-    """Counts walks served by :meth:`VMIInstance.replay_walk` or
-    :meth:`VMIInstance.replay_cold_walk`."""
+    """Counts walks served by :meth:`VMIInstance.replay_walk`."""
     served = []
-    for name in ("replay_walk", "replay_cold_walk"):
-        def counting(self, _original=getattr(VMIInstance, name)):
-            entries = _original(self)
-            if entries is not None:
-                served.append(self.domain.name)
-            return entries
 
-        monkeypatch.setattr(VMIInstance, name, counting)
+    def counting(self, _original=VMIInstance.replay_walk):
+        entries = _original(self)
+        if entries is not None:
+            served.append(self.domain.name)
+        return entries
+
+    monkeypatch.setattr(VMIInstance, "replay_walk", counting)
     return served
 
 
@@ -84,7 +83,7 @@ def real_runs(monkeypatch):
     original = ModuleSearcher.list_modules
 
     def forced(self):
-        self.vmi.walk_record = self.vmi.cold_record = None
+        self.vmi.walk_record = None
         return original(self)
 
     @contextmanager
@@ -114,6 +113,12 @@ def _state(world) -> dict:
             [(c.hits, c.misses, c.keys())
              for c in (vmi.v2p_cache, vmi.page_cache)])
     return out
+
+
+def _cold_half(vmi):
+    """The session's cold half: the page-table guard of its walk
+    record, replayed into flushed caches (None: no record or no half)."""
+    return vmi.walk_record and vmi.walk_record.guard[-1]
 
 
 def _outcome(step, world):
@@ -240,15 +245,15 @@ class TestPoolDifferential:
     def test_warm_steady_state(self, real_runs, replays):
         world, outcomes, served = _differential(_pool(), _warm(4),
                                                 real_runs, replays)
-        # cold, warm (recorded), then replayed
-        assert served == [[], [], ALL, ALL]
+        # cold (recorded), then replayed warm
+        assert served == [[], ALL, ALL, ALL]
         assert outcomes[1] == outcomes[2] == outcomes[3]
         assert all(v.walk_record is not None for v in world.sessions())
 
     def test_clocked_steady_state(self, real_runs, replays):
         _, _, served = _differential(_pool(), [walk_all_clocked] * 4,
                                      real_runs, replays)
-        assert served == [[], [], ALL, ALL]
+        assert served == [[], ALL, ALL, ALL]
 
     def test_dkom_unlink_behind_warm_cache_serves_stale_list(
             self, real_runs, replays):
@@ -286,20 +291,34 @@ class TestPoolDifferential:
         assert "dummy.sys" in dom1_names(outcomes[-4])      # stale cache
         assert "dummy.sys" not in dom1_names(outcomes[-2])
 
-    def test_flush_forces_real_walks(self, real_runs, replays):
-        _, _, served = _differential(
-            _pool(), _warm() + [flush_dom1, walk_all, walk_all, walk_all],
+    def test_equal_remapped_frames_force_real_walk(self, real_runs,
+                                                   replays):
+        """The warm guard tests each frame's identity, one pointer
+        compare, not its 4 KiB of bytes: a frame re-mapped with the same
+        contents is a new object, so the entry misses once."""
+        _, outcomes, served = _differential(
+            _pool(), _warm() + [remap_dom1_frames, walk_all, walk_all],
             real_runs, replays)
-        assert served[-3:] == [NOT_DOM1, NOT_DOM1, ALL]
+        assert served[-2:] == [NOT_DOM1, ALL]
+        assert outcomes[-1] == outcomes[2]
 
-    def test_flush_drops_the_record(self):
+    def test_flush_forces_real_walks(self, real_runs, replays):
+        """A session's first flush finds no cold half: Dom1 walks for
+        real and records one, replays warm, and after the next flush
+        replays cold."""
+        _, _, served = _differential(
+            _pool(), _warm() + [flush_dom1, walk_all, walk_all, flush_dom1,
+                                walk_all], real_runs, replays)
+        assert served[-5:] == [[], NOT_DOM1, ALL, [], ALL]
+
+    def test_flush_keeps_the_record(self):
         world = _pool()()
         walk_all(world)
-        walk_all(world)
         vmi = world.mc.vmi_for("Dom1")
-        assert vmi.walk_record is not None
+        record = vmi.walk_record
+        assert record is not None
         vmi.flush_caches()
-        assert vmi.walk_record is None
+        assert vmi.walk_record is record
 
     def test_changed_v2p_entry_forces_real_walk(self, real_runs, replays):
         _, _, served = _differential(
@@ -313,8 +332,8 @@ class TestPoolDifferential:
             _pool(), _warm() + [reboot_dom2, walk_all, walk_all, walk_all],
             real_runs, replays)
         assert world.mc.vmi_for("Dom2") is not world.retired[0]
-        # the new session walks cold, then warm (recorded), then replays
-        assert served[-3:] == [["Dom1", "Dom3"], ["Dom1", "Dom3"], ALL]
+        # the new session walks cold (recorded), then replays warm
+        assert served[-3:] == [["Dom1", "Dom3"], ALL, ALL]
 
     def test_tracer_enabled(self, real_runs, replays):
         world, _, served = _differential(
@@ -340,21 +359,22 @@ class TestPoolDifferential:
 
 class TestRecordScope:
     def test_only_a_cold_walk_after_a_flush_records(self):
-        """A fresh session's first walk is cold but records nothing; a
-        cold walk after ``flush_caches`` records, and the next flush
-        keeps the cold entry (it drops only the warm one)."""
+        """Only a cold walk after ``flush_caches`` records a cold half:
+        a fresh session's first walk is cold but records the warm half
+        alone. A warm walk then replays the same entry, and the next
+        flush keeps it."""
         world = _pool()()
         walk_all(world)
-        assert all(v.walk_record is None and v.cold_record is None
+        assert all(v.walk_record is not None and _cold_half(v) is None
                    for v in world.sessions())
         cold_walk_all(world)
-        assert all(v.cold_record is not None for v in world.sessions())
+        assert all(_cold_half(v) is not None for v in world.sessions())
         vmi = world.mc.vmi_for("Dom1")
+        record = vmi.walk_record
         walk_all(world)
-        assert vmi.walk_record is not None
-        record = vmi.cold_record
+        assert vmi.walk_record is record
         vmi.flush_caches()
-        assert vmi.walk_record is None and vmi.cold_record is record
+        assert vmi.walk_record is record
 
     def test_caches_off_never_records(self):
         tb = build_testbed(2, seed=SEED)
@@ -421,6 +441,31 @@ def retarget_hal_node_pte(world):
     frame = kernel.aspace.frame_allocator.alloc()
     kernel.memory.write(frame << 12, kernel.aspace.read(page_va, 0x1000))
     kernel.aspace.page_tables.map_page(page_va, frame)
+
+
+def move_hal_node(world):
+    """Map the page holding hal.dll's LDR node onto a fresh frame whose
+    copy of the node claims a larger ``SizeOfImage``. The old frame
+    keeps its bytes: only a page-table entry tells the two apart."""
+    kernel = world.hv.domain("Dom1").kernel
+    node = kernel.module("hal.dll").ldr_entry_va
+    page = bytearray(kernel.aspace.read(node & ~0xFFF, 0x1000))
+    at = (node & 0xFFF) \
+        + world.mc.profile.offset("LDR_DATA_TABLE_ENTRY.SizeOfImage")
+    size, = struct.unpack_from("<I", page, at)
+    struct.pack_into("<I", page, at, size + 0x1000)
+    frame = kernel.aspace.frame_allocator.alloc()
+    kernel.memory.write(frame << 12, bytes(page))
+    kernel.aspace.page_tables.map_page(node & ~0xFFF, frame)
+
+
+def drop_dom1_record(world):
+    world.mc.vmi_for("Dom1").walk_record = None
+
+
+def _hal_size(outcome):
+    lists, _ = outcome[1]
+    return next(e.size_of_image for e in lists[0] if e.name == "hal.dll")
 
 
 def rename_hal(world):
@@ -496,7 +541,7 @@ class TestColdDifferential:
         # recorded by the first flushed walk, replayed after each flush
         assert served == [[], ALL, ALL, ALL]
         assert outcomes[0] == outcomes[1] == outcomes[3]
-        assert all(v.cold_record is not None for v in world.sessions())
+        assert all(_cold_half(v) is not None for v in world.sessions())
 
     def test_clocked_cold_rounds(self, real_runs, replays):
         _, _, served = _differential(_pool(), [cold_walk_all_clocked] * 3,
@@ -520,9 +565,34 @@ class TestColdDifferential:
         # the re-recorded entry maps the page to its new frame
         kernel = world.hv.domain("Dom1").kernel
         page_va = _ldr_page(world, "Dom1", "hal.dll")
-        _, v2p_load, _ = world.mc.vmi_for("Dom1").cold_record.guard
-        assert dict(v2p_load[0])[page_va] \
+        v2p_items = world.mc.vmi_for("Dom1").walk_record.guard[0]
+        assert dict(v2p_items)[page_va] \
             == kernel.aspace._translator().translate(page_va)
+
+    def test_page_table_write_to_new_bytes(self, real_runs, replays):
+        """The data frames a walk read are unchanged, so only the page
+        tables in the cold guard see the node move."""
+        _, outcomes, served = _differential(
+            _pool(), _cold(2) + [move_hal_node] + _cold(2), real_runs,
+            replays)
+        assert served[-2:] == [NOT_DOM1, ALL]
+        assert _hal_size(outcomes[-2]) == _hal_size(outcomes[1]) + 0x1000
+
+    def test_warm_walk_through_a_stale_translation(self, real_runs,
+                                                   replays):
+        """A flushed session's V2P cache keeps hal.dll's node page on its
+        old frame after the node moves. The next warm walk runs for real
+        through that stale translation and records; it keeps no cold
+        half (its translations are the cache's, not the page tables'),
+        so the walk after the next flush runs for real and sees the
+        move."""
+        world, outcomes, served = _differential(
+            _pool(), _cold(2) + [move_hal_node, drop_dom1_record, walk_all]
+            + _cold(2), real_runs, replays)
+        assert served[-3:] == [NOT_DOM1, NOT_DOM1, ALL]
+        assert _hal_size(outcomes[-3]) == _hal_size(outcomes[1])
+        assert _hal_size(outcomes[-2]) == _hal_size(outcomes[1]) + 0x1000
+        assert _cold_half(world.mc.vmi_for("Dom1")) is not None
 
     def test_revisited_page_keeps_last_access_order(self, real_runs,
                                                     replays):
@@ -560,11 +630,14 @@ class TestColdDifferential:
 
     def test_injector_from_the_start_never_records(self, real_runs,
                                                    replays):
+        """No cold half is recorded under an injector, so no flushed
+        walk replays; the warm half alone is kept."""
         world, _, served = _differential(
             _pool(fault_config=FaultConfig()), _cold(3), real_runs,
             replays)
         assert served == [[], [], []]
-        assert all(v.cold_record is None for v in world.sessions())
+        assert all(v.walk_record is not None and _cold_half(v) is None
+                   for v in world.sessions())
 
     def test_racing_writer_on_clock(self, real_runs, replays):
         """A subscriber that can fire mid-walk stops replay: the real
@@ -591,7 +664,7 @@ class TestColdDifferential:
         world, _, served = _differential(_pool(caches=False), _cold(3),
                                          real_runs, replays)
         assert served == [[], [], []]
-        assert all(v.cold_record is None for v in world.sessions())
+        assert all(v.walk_record is None for v in world.sessions())
 
     def test_paused_domain_replays(self, real_runs, replays):
         _, _, served = _differential(
@@ -670,13 +743,14 @@ def test_fleet_steady_state(real_runs, replays):
 
 def test_fleet_sessions_never_hold_a_cold_entry():
     """Fleet sessions keep their caches warm and never flush, so their
-    first walk, the only cold one, records nothing."""
+    first walk, the only cold one, records the warm half alone."""
     world = _fleet()
     for _ in range(3):
         fleet_cycle(world)
     sessions = world.sessions()
     assert len(sessions) >= 24
-    assert all(v.cold_record is None for v in sessions)
+    assert all(v.walk_record is not None and _cold_half(v) is None
+               for v in sessions)
 
 
 # -- the vote kinds: canonical (recharge) and pair (free) ---------------------

@@ -84,14 +84,18 @@ class TestRetryPolicy:
 class TestLifecycle:
     def test_install_uninstall_restores_pristine_path(self, tb):
         hv = tb.hypervisor
-        injector = FaultInjector(FaultConfig(transient_rate=0.5), seed=1)
+        injector = FaultInjector(FaultConfig(torn_page_rate=0.5), seed=1)
         injector.install(hv)
-        assert "read_guest_frame" in hv.__dict__
+        assert hv.fault_injector is injector
+        hv.read_guest_frame("Dom1", 0)
+        hv.read_guest_physical("Dom1", 0, 4)
+        assert injector.stats.reads == 2
         injector.uninstall()
-        assert "read_guest_frame" not in hv.__dict__
-        assert "read_guest_physical" not in hv.__dict__
-        # reads go straight through the class method again
-        assert hv.read_guest_frame.__func__ is Hypervisor.read_guest_frame
+        assert hv.fault_injector is None
+        # reads no longer pass through the gate
+        hv.read_guest_frame("Dom1", 0)
+        hv.read_guest_physical("Dom1", 0, 4)
+        assert injector.stats.reads == 2
 
     def test_uninstall_leaves_the_instance_dict_unmaterialised(self):
         """Install and uninstall must not build ``hv``'s ``__dict__``:
@@ -115,7 +119,27 @@ class TestLifecycle:
         assert hv.read_guest_frame.__func__ is Hypervisor.read_guest_frame
         assert hv.read_guest_physical.__func__ \
             is Hypervisor.read_guest_physical
-        assert getattr(hv, "fault_injector", None) is None
+        assert hv.fault_injector is None
+
+    def test_install_after_many_hypervisors_keeps_the_dict_unbuilt(self):
+        """CPython stops growing a class's shared attribute keys after
+        some instances; an attribute a later instance gains then builds
+        its ``__dict__``. Installing only sets an attribute every
+        ``Hypervisor`` has from ``__init__``, so even after that point
+        install and uninstall leave the dict unbuilt."""
+        hvs = [Hypervisor() for _ in range(48)]
+        hv = Hypervisor()
+
+        def attribute_dicts():
+            return [r for r in gc.get_referents(hv)
+                    if isinstance(r, dict) and "clock" in r]
+
+        assert attribute_dicts() == []
+        injector = FaultInjector(FaultConfig(), seed=1).install(hv)
+        assert attribute_dicts() == []
+        injector.uninstall()
+        assert attribute_dicts() == []
+        assert len(hvs) == 48
 
     def test_double_install_rejected(self, tb):
         injector = FaultInjector(seed=1)
@@ -126,9 +150,9 @@ class TestLifecycle:
 
     def test_context_manager(self, tb):
         hv = tb.hypervisor
-        with FaultInjector(seed=1).installed(hv):
-            assert "read_guest_frame" in hv.__dict__
-        assert "read_guest_frame" not in hv.__dict__
+        with FaultInjector(seed=1).installed(hv) as injector:
+            assert hv.fault_injector is injector
+        assert hv.fault_injector is None
 
     def test_seed_derived_from_project_chain(self):
         injector = FaultInjector(seed=5)
