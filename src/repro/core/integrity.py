@@ -435,17 +435,22 @@ class IntegrityChecker:
         t = len(modules)
         clean = {name: match_count[name] > (t - 1) / 2 for name in names}
 
+        # a flagged VM's regions: those its pairs with clean VMs
+        # mismatched, in pair order (one pass indexes the pairs by VM)
+        against_clean: dict[str, list[PairComparison]] = {
+            name: [] for name in names if not clean[name]}
+        for p in pairs:
+            if p.vm_a in against_clean and clean.get(p.vm_b, False):
+                against_clean[p.vm_a].append(p)
+            if p.vm_b in against_clean and clean.get(p.vm_a, False):
+                against_clean[p.vm_b].append(p)
         verdicts: dict[str, VMVerdict] = {}
         for name in names:
-            regions: list[str] = []
-            for p in pairs:
-                if p.involves(name) and clean.get(p.other(name), False):
-                    for region in p.mismatched_regions:
-                        if region not in regions:
-                            regions.append(region)
+            regions = dict.fromkeys(region
+                                    for p in against_clean.get(name, ())
+                                    for region in p.mismatched_regions)
             verdicts[name] = VMVerdict(
                 vm_name=name, matches=match_count[name], comparisons=t - 1,
-                clean=clean[name],
-                mismatched_regions=tuple(regions) if not clean[name] else ())
+                clean=clean[name], mismatched_regions=tuple(regions))
         return PoolReport(module_name=modules[0].module_name if modules else "",
                           vm_names=names, pairs=pairs, verdicts=verdicts)

@@ -32,9 +32,13 @@ Two implementations:
 
 ``adjust_rva_pool``
     The robust rule over every pair of a pool's copies of one section:
-    :func:`scan_pool` runs one chunked numpy pass over all pairs, and
-    only the pairs it cannot settle in bulk go through
-    ``adjust_rva_robust`` one at a time.
+    :func:`scan_pool` reads only the columns where some copy differs
+    from the first (every pair's differences lie there) and tests each
+    cluster head against RVAs computed once per copy. A pair it settles
+    has byte-equal adjusted copies, so none are built; only the pairs
+    it cannot settle in bulk go through ``adjust_rva_robust`` one at a
+    time. Its per-chunk arrays (one entry per pair and differing
+    column) are bounded by :data:`POOL_CHUNK_BYTES`.
 
 Both return new buffers plus :class:`RvaAdjustStats`; a difference
 window no candidate start can explain is counted in ``unresolved`` —
@@ -147,6 +151,7 @@ class SlotScan(NamedTuple):
 
 
 _SLOT = np.arange(4)
+_RVA4 = np.dtype((np.void, 16))     # four u32 RVAs as one item
 
 
 def scan_slots(data1: bytes, base1: int, data2: bytes, base2: int,
@@ -264,8 +269,8 @@ def adjust_rva_robust(data1: bytes, base1: int, data2: bytes, base2: int,
         replaced=len(slots), unresolved=windows - len(slots), windows=windows)
 
 
-#: Bytes of pair rows one :func:`scan_pool` chunk gathers per side: the
-#: bound on the pool scan's transient working set.
+#: Bytes of one :func:`scan_pool` chunk's RVA gather per side, 16 per
+#: pair and differing column: the bound on the scan's per-chunk arrays.
 POOL_CHUNK_BYTES = 64 * 1024
 
 
@@ -273,74 +278,97 @@ class PoolChunk(NamedTuple):
     """One chunk of :func:`scan_pool`: a run of consecutive pairs."""
 
     pairs: np.ndarray        # indices into the caller's pair list
-    adjusted_a: np.ndarray   # one adjusted row per pair, first side
-    adjusted_b: np.ndarray   # ... and second side
     windows: np.ndarray      # difference windows per pair
     settled: np.ndarray      # False: a cluster no one window settles
 
 
 def scan_pool(rows: np.ndarray, bases: Sequence[int], pairs: np.ndarray,
               limits: np.ndarray) -> Iterator[PoolChunk]:
-    """:func:`scan_slots` plus the slot writes, over many pairs at once.
+    """:func:`scan_slots`'s bulk test over many pairs, on sparse columns.
 
     ``rows`` is a t×n ``uint8`` matrix of one section's copies (n ≥ 4),
     ``bases`` their load bases, ``pairs`` a P×2 array of row indices and
-    ``limits`` each pair's RVA bound. Each chunk gathers its pairs' rows
-    and lays them out with a stride of n+4, so every pair is followed by
-    at least four agreeing seam bytes and no difference cluster crosses
-    a pair: the cluster-split argument of :func:`scan_slots` holds
-    unchanged. Only cluster heads test their four candidate starts. A
-    settled cluster is one resolved window, written into both rows with
-    :func:`adjust_rva_robust`'s overwrite rule. A pair holding a cluster
-    no one window settles is reported unsettled and its rows are left
-    unadjusted; the caller runs it through :func:`adjust_rva_robust`.
+    ``limits`` each pair's RVA bound.
+
+    Columns: one pass finds the m columns where any copy differs from
+    row 0. Two rows can only differ where one of them differs from
+    row 0, so every pair's differences, clusters (a gap of more than 3
+    bytes splits them), heads and tails lie on those columns, and
+    nothing else is read per pair. Each copy's RVA (its u32 minus its
+    base) at the candidate starts ``d-3..d`` of each such column is
+    computed once per row; a cluster head tests its four starts by
+    looking both rows up, a start before the row or past ``n-4`` masked
+    out. Clusters are found per pair, so none crosses a pair and the
+    cluster-split argument of :func:`scan_slots` holds unchanged.
+
+    Settled ⇒ equal: a cluster is settled when its head accepts a slot
+    that covers its tail. Every differing byte of a settled pair then
+    lies inside its cluster's slot, which both sides rewrite with the
+    same RVA (a later slot overlapping it starts past the cluster's
+    tail), so the pair's adjusted copies are byte-equal and its stats
+    are ``windows == replaced``, ``unresolved == 0``: no adjusted row
+    is built. A pair holding a cluster no one window settles is
+    reported unsettled; the caller runs it through
+    :func:`adjust_rva_robust`.
+
+    Memory: besides ``rows``, one n-byte mask, the t×m differing
+    columns and a t×m×4 u32 RVA table per call. Pairs are chunked so
+    that pairs × m × 16 stays within :data:`POOL_CHUNK_BYTES` (always
+    at least one pair per chunk). A pair has at most one cluster head
+    per differing column, so that bounds each side's gather of four
+    u32 RVAs per head, and every other per-chunk array is smaller.
     """
     rows = np.ascontiguousarray(rows)
-    n = rows.shape[1]
-    u32 = np.ndarray((rows.size - 3,), "<u4", rows, 0, (1,))
+    t, n = rows.shape
+    differs = np.zeros(n, dtype=bool)
+    for row in rows[1:]:
+        differs |= row != rows[0]
+    cols = np.flatnonzero(differs)
+    m = cols.size
+    sub = rows[:, cols]
+    start = cols[:, None] - 3 + _SLOT
     base = np.array([b & 0xFFFFFFFF for b in bases], np.uint32)
-    step = max(1, POOL_CHUNK_BYTES // n)
+    u32 = np.ndarray((t, n - 3), "<u4", rows, 0, (n, 1))
+    # copy i's RVAs at column k's four starts: item i*m+k, 16 bytes
+    rva = np.empty((t, m, 4), np.uint32)
+    for s in range(4):
+        np.subtract(u32[:, np.clip(start[:, s], 0, n - 4)], base[:, None],
+                    out=rva[:, :, s])
+    rva = rva.view(_RVA4).reshape(-1)
+    # only the first and last three columns have a start off the row
+    inner = np.searchsorted(cols, (3, n - 3))
+    valid = (start >= 0) & (start <= n - 4)
+    # near[s-1][k]: column k+s lies within 3 bytes of column k
+    near = [cols[s:] - cols[:-s] <= 3 for s in (1, 2, 3)]
+    step = max(1, POOL_CHUNK_BYTES // (16 * max(m, 1)))
     for lo in range(0, len(pairs), step):
         ia, ib = pairs[lo:lo + step, 0], pairs[lo:lo + step, 1]
-        out_a, out_b = rows[ia], rows[ib]
-        diff = out_a != out_b
-        # a head has no difference in the 3 bytes before it, a tail none
-        # in the 3 after it; rows end at their pair, so no cluster
-        # crosses one (the seam)
-        near = np.zeros_like(diff)
-        for k in (1, 2, 3):
-            near[:, k:] |= diff[:, :-k]
-        hp, hj = np.divmod(np.flatnonzero(np.greater(diff, near, out=near)),
-                           n)
-        near[:] = False
-        for k in (1, 2, 3):
-            near[:, :-k] |= diff[:, k:]
-        tail = np.flatnonzero(np.greater(diff, near, out=near)) % n
-        del diff, near
-        start = hj[:, None] - 3 + _SLOT
-        hits = (start >= 0) & (start <= n - 4)
-        np.clip(start, 0, n - 4, out=start)
-        ha, hb = ia[hp], ib[hp]
-        ra = u32[(ha * n)[:, None] + start] - base[ha, None]
-        hits &= ra == u32[(hb * n)[:, None] + start] - base[hb, None]
+        diff = sub[ia] != sub[ib]
+        # a head has no difference of its pair in the 3 bytes before
+        # it, a tail none in the 3 after it
+        before = np.zeros_like(diff)
+        after = np.zeros_like(diff)
+        for s, close in zip((1, 2, 3), near):
+            before[:, s:] |= diff[:, :-s] & close
+            after[:, :-s] |= diff[:, s:] & close
+        head = np.greater(diff, before, out=before)
+        hp = np.repeat(np.arange(len(ia)), np.count_nonzero(head, axis=1))
+        hk = np.flatnonzero(head) - hp * m
+        tk = np.flatnonzero(np.greater(diff, after, out=after)) - hp * m
+        ra = rva[ia[hp] * m + hk].view(np.uint32).reshape(-1, 4)
+        hits = ra == rva[ib[hp] * m + hk].view(np.uint32).reshape(-1, 4)
         hits &= ra < limits[lo + hp, None]
-        del start, ra
-        first = hj - 3 + hits.argmax(axis=1)
-        good = hits.any(axis=1) & (tail <= first + 3)
-        windows = np.bincount(hp, minlength=len(ia))
-        settled = np.bincount(hp[~good], minlength=len(ia)) == 0
-        keep = settled[hp]
-        slots, sp = first[keep], hp[keep]
-        value = u32[ia[sp] * n + slots] - base[ia[sp]]
-        value = value.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)
-        # a later slot of the same pair overlapping this one overwrites
-        # its tail; the next pair's slots lie beyond the seam
-        at = sp * (n + 4) + slots
-        fresh = at[:, None] + _SLOT < np.append(at[1:], at[-1:] + 4)[:, None]
-        index = ((sp * n + slots)[:, None] + _SLOT)[fresh]
-        out_a.reshape(-1)[index] = out_b.reshape(-1)[index] = value[fresh]
-        yield PoolChunk(np.arange(lo, lo + len(ia)), out_a, out_b, windows,
-                        settled)
+        edge = np.flatnonzero((hk < inner[0]) | (hk >= inner[1]))
+        hits[edge] &= valid[hk[edge]]
+        # the earliest accepted start is the lowest set byte of the
+        # four flags read as one little-endian u32
+        flags = hits.view("<u4").reshape(-1)
+        low = flags & (0 - flags)
+        first = cols[hk] - 3 + (low > 1) + (low > 0x100) + (low > 0x10000)
+        good = (flags != 0) & (cols[tk] <= first + 3)
+        yield PoolChunk(np.arange(lo, lo + len(ia)),
+                        np.bincount(hp, minlength=len(ia)),
+                        np.bincount(hp[~good], minlength=len(ia)) == 0)
 
 
 class PoolPair(NamedTuple):
@@ -360,8 +388,10 @@ def adjust_rva_pool(rows: np.ndarray, bases: Sequence[int],
     load bases; pair k adjusts row i against row j of ``pairs[k]`` with
     ``max_rva=limits[k]``. Pairs with equal bases, sections shorter than
     a slot and pairs :func:`scan_pool` leaves unsettled go through
-    :func:`adjust_rva_robust` itself; every other pair comes from the
-    pool scan. The adjusted bytes are returned only where they differ.
+    :func:`adjust_rva_robust` itself; a pair the pool scan settles has
+    byte-equal adjusted copies, so its outcome is its window count and
+    ``adjusted=None``. The adjusted bytes are returned only where they
+    differ.
     """
     out: list[PoolPair | None] = [None] * len(pairs)
     scan: list[int] = []
@@ -375,18 +405,14 @@ def adjust_rva_pool(rows: np.ndarray, bases: Sequence[int],
         # every u32 RVA is below 2**32: a larger bound accepts them all
         bound = np.array([min(limits[k], 1 << 32) for k in scan], np.int64)
         for chunk in scan_pool(rows, bases, table, bound):
-            differ = (chunk.adjusted_a != chunk.adjusted_b).any(axis=1)
-            for c, k in enumerate(chunk.pairs.tolist()):
-                k = scan[k]
-                if not chunk.settled[c]:
-                    out[k] = _robust_pair(rows, bases, pairs[k], limits[k])
-                    continue
-                windows = int(chunk.windows[c])
-                out[k] = PoolPair(
-                    RvaAdjustStats(replaced=windows, windows=windows),
-                    (chunk.adjusted_a[c].tobytes(),
-                     chunk.adjusted_b[c].tobytes())
-                    if differ[c] else None)
+            for c, windows, settled in zip(chunk.pairs.tolist(),
+                                           chunk.windows.tolist(),
+                                           chunk.settled.tolist()):
+                k = scan[c]
+                out[k] = (PoolPair(RvaAdjustStats(replaced=windows,
+                                                  windows=windows), None)
+                          if settled else
+                          _robust_pair(rows, bases, pairs[k], limits[k]))
     return out
 
 

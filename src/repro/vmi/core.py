@@ -221,6 +221,10 @@ class VMIInstance:
         v2p, frames = self.v2p_cache.peek, self.page_cache.peek
         costs = self.costs
         small = (costs.small_read, "small_read")
+        charges = tuple(charges)
+        # a cold sequence charges page_translate first: all small_read
+        # charges can only be the warm one, which needs no cold list
+        warm = charges.count(small) == len(charges)
         vm = self.domain.name
         page_vas: list[int] = []            # every page read, in order
         frame_nos: list[int] = []
@@ -235,24 +239,26 @@ class VMIInstance:
                 if pa_page is None or frames(pa_page >> 12) is None:
                     return
                 frame_no = pa_page >> 12
-                if page_va not in seen_vas:
-                    seen_vas.add(page_va)
-                    cold.append((costs.translate_walk, "page_translate"))
-                    spans.append(None)
-                if frame_no not in seen_frames:
-                    seen_frames.add(frame_no)
-                    cold.append((costs.page_map, "page_copy"))
-                    spans.append(("vmi.read_page",
-                                  {"vm": vm, "frame": frame_no}))
+                if not warm:
+                    if page_va not in seen_vas:
+                        seen_vas.add(page_va)
+                        cold.append((costs.translate_walk,
+                                     "page_translate"))
+                        spans.append(None)
+                    if frame_no not in seen_frames:
+                        seen_frames.add(frame_no)
+                        cold.append((costs.page_map, "page_copy"))
+                        spans.append(("vmi.read_page",
+                                      {"vm": vm, "frame": frame_no}))
                 page_vas.append(page_va)
                 frame_nos.append(frame_no)
-            cold.append(small)
-            spans.append(None)
+            if not warm:
+                cold.append(small)
+                spans.append(None)
             n_reads += 1
             total += length
-        charges = tuple(charges)
-        warm = charges == (small,) * n_reads
-        if not warm and charges != tuple(cold):
+        exact = len(charges) == n_reads if warm else charges == tuple(cold)
+        if not exact:
             return
         v2p_items = {page_va: v2p(page_va)
                      for page_va in _last_access_order(page_vas)}

@@ -1,9 +1,12 @@
 """Unit tests for the Integrity-Checker (pairing + majority votes)."""
 
+import random
+
 import pytest
 
 from repro.core.integrity import IntegrityChecker, md5_hex
 from repro.core.parser import ModuleParser
+from repro.core.report import PairComparison
 from repro.core.searcher import ModuleCopy
 from repro.guest.loader import ModuleLoader
 from repro.guest.ldr import ListEntry
@@ -169,3 +172,45 @@ class TestPoolCheck:
         assert {pair.vm_a, pair.vm_b} == {"Vm0", "Vm3"}
         with pytest.raises(KeyError):
             report.pair("Vm0", "VmZ")
+
+
+def _vote_by_scan(names, pairs, clean):
+    """Each flagged VM's regions as the vote built them before it
+    indexed pairs by VM: every VM scans every pair."""
+    regions = {}
+    for name in names:
+        found: list[str] = []
+        for p in pairs:
+            if p.involves(name) and clean.get(p.other(name), False):
+                for region in p.mismatched_regions:
+                    if region not in found:
+                        found.append(region)
+        regions[name] = tuple(found) if not clean[name] else ()
+    return regions
+
+
+def test_vote_regions_equal_the_per_vm_scan():
+    """Random pair matrices, shuffled and flipped pairs: verdicts and
+    region order equal the per-VM scan's."""
+    rng = random.Random("vote")
+    region_names = [".text", "INIT", "DOS_HEADER", "SECTION_HEADER[.x]"]
+    for _ in range(300):
+        t = rng.randrange(1, 9)
+        modules = [type("M", (), {"vm_name": f"Dom{i}",
+                                  "module_name": "m.sys"})()
+                   for i in range(t)]
+        names = [m.vm_name for m in modules]
+        pairs = []
+        for i in range(t):
+            for j in range(i + 1, t):
+                a, b = (names[i], names[j]) if rng.random() < 0.7 \
+                    else (names[j], names[i])
+                bad = [] if rng.random() < 0.6 else rng.sample(
+                    region_names, rng.randrange(1, 4))
+                pairs.append(PairComparison(a, b, tuple(bad)))
+        rng.shuffle(pairs)
+        report = IntegrityChecker().vote(modules, pairs)
+        clean = {n: v.clean for n, v in report.verdicts.items()}
+        want = _vote_by_scan(names, pairs, clean)
+        assert {n: v.mismatched_regions
+                for n, v in report.verdicts.items()} == want

@@ -3,9 +3,11 @@
 ``IntegrityChecker.compare_pairs`` compares every job of a vote in one
 batch: header digests once per copy, one :func:`repro.core.rva.
 adjust_rva_pool` pass per (code region, length) group. Every case here
-holds it to the per-pair path (``compare_pair``) and to the per-byte
-oracles of :mod:`tests.core.rva_oracle`, pair for pair (mismatched
-regions, ``rva_stats``, adjusted bytes) and charge for charge.
+holds it to the per-pair path (``compare_pair``), to the per-byte
+oracles of :mod:`tests.core.rva_oracle` and to the dense pool scan of
+:mod:`tests.core.pool_oracle`, pair for pair (mismatched regions,
+``rva_stats``, adjusted bytes, chunk windows and settled flags) and
+charge for charge.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.ledger import Entry
 from repro.obs import make_observability
 from repro.pe.parser import Region
 from repro.vmi.cache import LRUCache
+from tests.core.pool_oracle import oracle_pool_adjust, oracle_scan_pool
 from tests.core.rva_oracle import (oracle_adjust_rva_pool,
                                    oracle_compare_pair)
 from tests.core.test_rva_kernel_diff import BASES, LAYOUTS, _load, relocated
@@ -46,7 +49,8 @@ def all_pairs(t: int) -> list[tuple[int, int]]:
 
 
 def assert_pool_matches_oracle(copies, bases, pairs=None, limits=None):
-    """``scan_pool`` and ``adjust_rva_pool`` == the per-byte oracle."""
+    """``scan_pool`` and ``adjust_rva_pool`` == the per-byte oracle and
+    the dense pool scan they replaced."""
     rows = np.array([np.frombuffer(bytes(c), np.uint8) for c in copies],
                     np.uint8).reshape(len(copies), -1)
     pairs = all_pairs(len(copies)) if pairs is None else pairs
@@ -60,20 +64,28 @@ def assert_pool_matches_oracle(copies, bases, pairs=None, limits=None):
             assert outcome.adjusted is None
         else:
             assert outcome.adjusted == (adj_a, adj_b)
+    assert got == oracle_pool_adjust(rows, bases, pairs, limits)
     scanned = [k for k, (i, j) in enumerate(pairs)
                if rows.shape[1] >= 4 and bases[i] != bases[j]]
     if scanned:
         table = np.array([pairs[k] for k in scanned], np.intp)
         bound = np.array([min(limits[k], 1 << 32) for k in scanned],
                          np.int64)
+        dense = {}
+        for chunk in oracle_scan_pool(rows, bases, table, bound):
+            for c, k in enumerate(chunk.pairs.tolist()):
+                dense[k] = (int(chunk.windows[c]), bool(chunk.settled[c]))
+        seen = []
         for chunk in scan_pool(rows, bases, table, bound):
             for c, k in enumerate(chunk.pairs.tolist()):
+                seen.append(k)
                 adj_a, adj_b, stats = want[scanned[k]]
+                assert (chunk.windows[c], chunk.settled[c]) == dense[k]
                 if not chunk.settled[c]:
                     continue
-                assert chunk.adjusted_a[c].tobytes() == adj_a
-                assert chunk.adjusted_b[c].tobytes() == adj_b
+                assert adj_a == adj_b       # settled => equal
                 assert chunk.windows[c] == stats.windows == stats.replaced
+        assert seen == list(range(len(scanned)))
     return got
 
 
@@ -173,21 +185,26 @@ class TestPoolScan:
                                        limits=[limit] * 6)
 
     def test_group_spans_several_chunks(self, monkeypatch):
-        """A budget smaller than one row (one pair per chunk) and one of
-        a few rows (several pairs per chunk, a short last chunk)."""
+        """A budget smaller than one pair's differing columns (one pair
+        per chunk) and one of a few pairs (several pairs per chunk, a
+        short last chunk)."""
         rng = random.Random("chunks")
         bases = [0x80000000 + rng.randrange(0x7FFF) * 0x1000
                  for _ in range(7)]
         copies = pool_of("packed", bases, 300, rng)
         copies[4][100] ^= 0x10
-        for budget in (64, 1000):
+        rows = np.array([np.frombuffer(bytes(c), np.uint8)
+                         for c in copies])
+        columns = int((rows[1:] != rows[0]).any(axis=0).sum())
+        # 16 budget bytes per pair and differing column
+        for budget, per_chunk in ((16 * columns - 1, 1), (64 * columns, 4)):
             monkeypatch.setattr(rva, "POOL_CHUNK_BYTES", budget)
-            rows = np.array([np.frombuffer(bytes(c), np.uint8)
-                             for c in copies])
             table = np.array(all_pairs(7), np.intp)
             chunks = list(scan_pool(rows, bases, table,
                                     np.full(len(table), 1 << 20)))
-            assert len(chunks) == -(-21 // max(1, budget // 300))
+            assert [len(c.pairs) for c in chunks] == \
+                [per_chunk] * (21 // per_chunk) + [21 % per_chunk] * (
+                    21 % per_chunk > 0)
             assert_pool_matches_oracle(copies, bases)
 
     def test_per_pair_limits(self):
